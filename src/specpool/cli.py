@@ -214,7 +214,7 @@ def cmd_eval(args):
 
 
 def cmd_gradcheck(args):
-    report = trainer.gradcheck(corrupt_scatter=args.corrupt)
+    report = trainer.gradcheck()
     text = report.format()
     print(text)
     if args.out:
@@ -307,8 +307,6 @@ def build_parser():
 
     p = sub.add_parser("gradcheck",
                        help="finite-difference gradient validation")
-    p.add_argument("--corrupt", action="store_true",
-                   help="use the deliberately wrong gradient scatter")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_gradcheck)
 

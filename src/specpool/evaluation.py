@@ -161,23 +161,6 @@ def accuracy(predictions, labels):
     return float(np.mean(predictions == labels))
 
 
-def loo_nn_accuracy(embeddings, labels):
-    """Leave-one-out 1-nearest-neighbor accuracy (independent path).
-
-    Cross-checks the NN retrieval metric: each shape is classified by its
-    nearest other shape.
-    """
-    embeddings = np.asarray(embeddings, dtype=np.float64)
-    labels = np.asarray(labels)
-    correct = 0
-    for i in range(len(embeddings)):
-        dists = np.linalg.norm(embeddings - embeddings[i], axis=1)
-        dists[i] = np.inf
-        if labels[int(np.argmin(dists))] == labels[i]:
-            correct += 1
-    return correct / len(embeddings)
-
-
 # ---------------------------------------------------------------------------
 # split generation
 

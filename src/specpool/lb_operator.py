@@ -19,6 +19,10 @@ from .errors import DataError
 DENSE_VERTEX_LIMIT = 4000
 DEFAULT_K = 100
 
+# eigenvalues at or below this fraction of the largest one are the zero
+# mode (the constant function), which the solvers return at round-off level
+ZERO_EIGENVALUE_RTOL = 1e-8
+
 
 @dataclass
 class LBSpectrum:
@@ -141,8 +145,9 @@ def lb_spectrum(lap, mass, k):
     """Lowest ``k`` eigenpairs of L phi = lambda diag(mass) phi.
 
     Dense solve below DENSE_VERTEX_LIMIT vertices, shift-invert Lanczos
-    with a fixed start vector above. Eigenvalues are clamped at 0 and
-    eigenvector signs are fixed so the largest-magnitude entry is positive.
+    with a fixed start vector above. Eigenvalues at round-off level are
+    snapped to exactly 0 and eigenvector signs are fixed so the
+    largest-magnitude entry is positive.
     """
     n = lap.shape[0]
     if k < 1 or k > n:
@@ -172,12 +177,13 @@ def lb_spectrum(lap, mass, k):
     if resid > 1e-6:
         raise DataError(f"eigensolver residual {resid:.3e} exceeds 1e-6")
 
-    evals = np.maximum(evals, 0.0)
+    zero = evals <= ZERO_EIGENVALUE_RTOL * evals[-1]
+    evals = np.where(zero, 0.0, evals)
     # a multiple zero eigenvalue means the operator decouples even when the
     # sparsity structure looks connected (e.g. cancelled cotangent weights)
-    if k >= 2 and evals[-1] > 0.0 and evals[1] <= 1e-8 * evals[-1]:
-        kernel = int(np.sum(evals <= 1e-8 * evals[-1]))
-        raise DataError(f"mesh has {kernel} connected components; expected 1")
+    if k >= 2 and evals[-1] > 0.0 and zero[1]:
+        raise DataError(f"mesh has {int(zero.sum())} connected components; "
+                        "expected 1")
     for j in range(evecs.shape[1]):
         col = evecs[:, j]
         if col[np.argmax(np.abs(col))] < 0.0:

@@ -45,6 +45,11 @@ class EmbeddingParams:
             if self.bias.shape != (self.C.shape[0],):
                 raise DataError("bias length must match class count")
 
+    @classmethod
+    def from_blocks(cls, blocks):
+        """The head in a model's parameter blocks: W, optional C and bias."""
+        return cls(blocks["W"], blocks.get("C"), blocks.get("bias"))
+
     @property
     def d_embed(self):
         return self.W.shape[0]
@@ -106,12 +111,6 @@ def embed_rows_backward(dF, params, cache):
     return dW, dx
 
 
-def embed(gH, params):
-    """Single-vector convenience wrapper around ``embed_rows``."""
-    f, _ = embed_rows(np.asarray(gH, dtype=np.float64)[None, :], params)
-    return f[0]
-
-
 # ---------------------------------------------------------------------------
 # triplet loss
 
@@ -144,16 +143,6 @@ def triplet_loss_rows(fa, fp, fn, margin, eta):
     dfp = -g_pos * unit_p
     dfn = -g_neg * unit_n
     return loss, dfa, dfp, dfn
-
-
-def triplet_loss(batch, margin, eta):
-    """Triplet list interface: batch rows are (F_a, F_p, F_n) triples."""
-    if not batch:
-        raise DataError("empty triplet batch")
-    fa = np.stack([t[0] for t in batch])
-    fp = np.stack([t[1] for t in batch])
-    fn = np.stack([t[2] for t in batch])
-    return triplet_loss_rows(fa, fp, fn, margin, eta)
 
 
 # ---------------------------------------------------------------------------

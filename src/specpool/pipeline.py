@@ -225,8 +225,7 @@ def embeddings(features, blocks=None):
     gamma = None
     if features.mode == "stnet":
         gamma = spdm.softmax(blocks["omega"])
-    head = metric.EmbeddingParams(blocks["W"], blocks.get("C"),
-                                  blocks.get("bias"))
+    head = metric.EmbeddingParams.from_blocks(blocks)
     f, _ = metric.embed_rows(features.rows(idx, gamma), head)
     return f
 
@@ -260,8 +259,7 @@ def retrieval_eval(features, blocks=None):
 def classification_eval(features, blocks):
     """Predicted labels and accuracy on a feature set."""
     vecs = embeddings(features, blocks)
-    head = metric.EmbeddingParams(blocks["W"], blocks.get("C"),
-                                  blocks.get("bias"))
+    head = metric.EmbeddingParams.from_blocks(blocks)
     probs = metric.softmax_rows(vecs @ head.C.T + head.bias)
     preds = np.argmax(probs, axis=1)
     return preds, evaluation.accuracy(preds, features.labels), probs

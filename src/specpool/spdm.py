@@ -1,14 +1,19 @@
 """Spectral transform of pooled SPD matrices.
 
-Forward path: eigendecompose H, L2-normalize the eigenvalue vector, apply
-the learnable mixture-of-power function f(x) = sum_i gamma_i x**alpha_i
-(gamma = softmax of logits, alpha_i = i/N_m), reconstruct, and vectorize
-the upper triangle. Backward reaches only the mixture logits: the
-eigenvectors and normalized eigenvalues are treated as constants.
+The transform eigendecomposes H, L2-normalizes the eigenvalue vector,
+applies the learnable mixture-of-power function f(x) = sum_i gamma_i
+x**alpha_i (gamma = softmax of logits, alpha_i = i/N_m), reconstructs, and
+vectorizes the upper triangle. Backward reaches only the mixture logits:
+the eigenvectors and normalized eigenvalues are treated as constants.
 
-The gradient scatter of the upper-triangle vectorization is symmetric
-fill with off-diagonals halved; the finite-difference check pins this
-convention (see GRAD_OFFDIAG_FACTOR).
+Both directions go through the per-shape factor Q of ``mpf_q_matrix``:
+the forward row is Q @ gamma and the weight gradient is Q^T @ dL. Q^T is
+the exact backward because the upper-triangle vectorization scatters a
+gradient dL into a symmetric matrix S with its off-diagonal entries
+halved: the eigenvalue gradient u_k^T S u_k reads each off-diagonal entry
+from both mirror slots, so halving counts it once, as Q's upper-triangle
+rows do. An unhalved scatter equals Q with its off-diagonal rows doubled
+and fails the end-to-end finite-difference check.
 """
 
 from dataclasses import dataclass
@@ -22,17 +27,15 @@ from .pooling import PooledSPD
 DEFAULT_N_MIX = 10
 DEFAULT_LOG_EPS = 1e-3
 
-# off-diagonal factor of the symmetric gradient scatter; 0.5 passes the
-# end-to-end finite-difference check, 1.0 (the corrupt variant) fails it
-GRAD_OFFDIAG_FACTOR = 0.5
-
 FIXED_TRANSFORMS = ("log_e", "log_reg", "log_max", "half_power",
                     "l2_norm", "ssn")
 
 
 def softmax(x):
     e = np.exp(x - np.max(x))
-    return e / np.sum(e)
+    gamma = e / np.sum(e)
+    # subnormal weights add nothing to Q @ gamma but slow every product
+    return np.where(gamma < np.finfo(gamma.dtype).tiny, 0.0, gamma)
 
 
 def power_grid(n_mix):
@@ -72,29 +75,6 @@ class MPFParams:
         return softmax(self.omega)
 
 
-@dataclass
-class SpdmtCache:
-    """Constants retained by the forward pass for the backward pass."""
-
-    U: np.ndarray        # (d, d) eigenvectors, columns
-    lam: np.ndarray      # (d,) normalized eigenvalues, descending
-    gamma: np.ndarray    # (n_mix+1,) mixture weights
-    powers: np.ndarray   # (d, n_mix+1), powers[k, i] = lam[k] ** alpha_i
-
-    @property
-    def dim(self):
-        return self.U.shape[0]
-
-    def validate(self):
-        d = self.dim
-        if np.max(np.abs(self.U.T @ self.U - np.eye(d))) > 1e-8:
-            raise DataError("eigenvector matrix is not orthogonal")
-        if abs(np.linalg.norm(self.lam) - 1.0) > 1e-12:
-            raise DataError("eigenvalue vector is not unit length")
-        if np.any(self.lam < 0.0) or np.any(np.diff(self.lam) > 0.0):
-            raise DataError("eigenvalues must be non-negative descending")
-
-
 def _as_matrix(H):
     return H.H if isinstance(H, PooledSPD) else np.asarray(H, dtype=np.float64)
 
@@ -126,27 +106,6 @@ def g_dim(d):
     return d * (d + 1) // 2
 
 
-def g_inv_scatter(vec, d, offdiag_factor=GRAD_OFFDIAG_FACTOR):
-    """Scatter an upper-triangle gradient into a symmetric matrix.
-
-    Diagonal slots receive their entry once; each off-diagonal entry is
-    placed in both mirror slots scaled by ``offdiag_factor``.
-    """
-    if len(vec) != g_dim(d):
-        raise DataError(f"gradient length {len(vec)} != {g_dim(d)}")
-    s = np.zeros((d, d))
-    s[np.triu_indices(d)] = vec
-    diag = np.diag(np.diag(s))
-    off = s - diag
-    return diag + offdiag_factor * (off + off.T)
-
-
-def offdiag_slots(d):
-    """Boolean mask over upper-triangle slots marking off-diagonal entries."""
-    i, j = np.triu_indices(d)
-    return i != j
-
-
 def mpf_eval(gamma, x):
     """f(x) = sum_i gamma_i x**alpha_i with the convention 0**0 = 1.
 
@@ -171,34 +130,6 @@ def normalized_spectrum(H):
     return U, raw / norm
 
 
-def spdmt_forward(H, params):
-    """Transform H and return (upper-triangle vector, backward cache)."""
-    U, lam = normalized_spectrum(H)
-    powers = lam[:, None] ** params.alphas[None, :]
-    gamma = params.gamma()
-    fvals = powers @ gamma
-    recon = (U * fvals) @ U.T
-    return g_vec(recon), SpdmtCache(U, lam, gamma, powers)
-
-
-def spdmt_backward(cache, dL_dgH, corrupt_scatter=False):
-    """Gradient of a scalar loss w.r.t. the mixture logits.
-
-    Chain: scatter the upper-triangle gradient symmetrically (off-diagonals
-    halved), rotate into the eigenbasis and take its diagonal, contract
-    with the power table, then project through the softmax.
-    """
-    dL_dgH = np.asarray(dL_dgH, dtype=np.float64)
-    d = cache.dim
-    if len(dL_dgH) != g_dim(d):
-        raise DataError(f"gradient length {len(dL_dgH)} != {g_dim(d)}")
-    factor = 1.0 if corrupt_scatter else GRAD_OFFDIAG_FACTOR
-    s = g_inv_scatter(dL_dgH, d, factor)
-    dlam_prime = np.einsum("jk,jk->k", cache.U, s @ cache.U)
-    dgamma = cache.powers.T @ dlam_prime
-    return softmax_backward(cache.gamma, dgamma)
-
-
 def softmax_backward(gamma, dgamma):
     """Pull a gradient on the weights back to the logits."""
     return gamma * (dgamma - np.dot(gamma, dgamma))
@@ -207,9 +138,9 @@ def softmax_backward(gamma, dgamma):
 def mpf_q_matrix(U, powers):
     """Per-shape factor Q with columns g(U diag(powers[:, i]) U^T).
 
-    The transformed vector is Q @ gamma, and (with the halved off-diagonal
-    scatter) the weight gradient is Q^T @ dL_dgH, which makes per-batch
-    work independent of the d^3 reconstruction cost.
+    The transformed vector is Q @ gamma and the weight gradient is
+    Q^T @ dL_dgH, which makes per-batch work independent of the d^3
+    reconstruction cost.
     """
     d, m = powers.shape
     q = np.empty((g_dim(d), m))
@@ -218,19 +149,6 @@ def mpf_q_matrix(U, powers):
         b = (U * powers[:, i]) @ U.T
         q[:, i] = b[iu]
     return q
-
-
-def q_backward_matrix(q, d, corrupt_scatter=False):
-    """Backward variant of Q; identical to Q for the canonical scatter.
-
-    The corrupt variant doubles the off-diagonal rows, reproducing the
-    unhalved scatter that the finite-difference check must reject.
-    """
-    if not corrupt_scatter:
-        return q
-    qb = q.copy()
-    qb[offdiag_slots(d)] *= 2.0
-    return qb
 
 
 def fixed_transform(H, kind, eps=DEFAULT_LOG_EPS):

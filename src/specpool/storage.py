@@ -10,6 +10,7 @@ import hashlib
 import json
 import logging
 import os
+import secrets
 import zipfile
 from pathlib import Path
 
@@ -40,10 +41,18 @@ def save_bundle(path, arrays):
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     ordered = {k: np.asarray(arrays[k]) for k in sorted(arrays)}
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "wb") as fh:
-        np.savez(fh, **ordered)
-    os.replace(tmp, path)
+    # a temp name of its own per writer: concurrent writers of one record
+    # never share a file, and whichever replaces last leaves a whole record
+    tmp = path.with_name(
+        f"{path.name}.{os.getpid()}.{secrets.token_hex(4)}.tmp")
+    fh = open(tmp, "xb")
+    try:
+        with fh:
+            np.savez(fh, **ordered)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_bundle(path):

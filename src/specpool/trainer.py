@@ -103,23 +103,12 @@ class FeatureSet:
             return self.x[indices]
         return np.stack([self.qmats[i] @ gamma for i in indices])
 
-    def pull_gamma_grad(self, indices, dx, corrupt_scatter=False):
+    def pull_gamma_grad(self, indices, dx):
         """Accumulate d(loss)/d(gamma) from per-row feature gradients."""
         dgamma = np.zeros(self.qmats[indices[0]].shape[1])
         for row, i in enumerate(indices):
-            qb = spdm.q_backward_matrix(self.qmats[i], _qdim(self.qmats[i]),
-                                        corrupt_scatter)
-            dgamma += qb.T @ dx[row]
+            dgamma += self.qmats[i].T @ dx[row]
         return dgamma
-
-
-def _qdim(q):
-    # rows of Q hold an upper triangle: solve d(d+1)/2 = len for d
-    n = q.shape[0]
-    d = int((np.sqrt(8 * n + 1) - 1) / 2)
-    if spdm.g_dim(d) != n:
-        raise DataError(f"Q row count {n} is not a triangular number")
-    return d
 
 
 # ---------------------------------------------------------------------------
@@ -238,18 +227,12 @@ def init_params(config, d_in, n_classes=None, learn_transform=True):
     return blocks
 
 
-def _head(blocks):
-    return metric.EmbeddingParams(blocks["W"], blocks.get("C"),
-                                  blocks.get("bias"))
-
-
-def _batch_forward_backward(features, blocks, batch, config,
-                            corrupt_scatter=False):
+def _batch_forward_backward(features, blocks, batch, config):
     """Loss and parameter gradients for one batch; grads are summed, the
     caller divides by the batch size."""
     learn_omega = features.mode == "stnet"
     gamma = spdm.softmax(blocks["omega"]) if learn_omega else None
-    head = _head(blocks)
+    head = metric.EmbeddingParams.from_blocks(blocks)
     grads = {}
 
     if config.task == "retrieval":
@@ -277,7 +260,7 @@ def _batch_forward_backward(features, blocks, batch, config,
     dw, dx = metric.embed_rows_backward(df, head, cache)
     grads["W"] = dw
     if learn_omega:
-        dgamma = features.pull_gamma_grad(indices, dx, corrupt_scatter)
+        dgamma = features.pull_gamma_grad(indices, dx)
         grads["omega"] = spdm.softmax_backward(gamma, dgamma)
     return loss, grads
 
@@ -427,14 +410,12 @@ def _loss_only(features, blocks, batch, config):
     return loss
 
 
-def gradcheck(seed=11, h=1e-5, threshold=1e-5, corrupt_scatter=False):
+def gradcheck(seed=11, h=1e-5, threshold=1e-5):
     """Compare analytic gradients with central finite differences.
 
     Runs the retrieval objective (omega and W blocks) and the
     classification objective (omega, W, C, bias) on the toy problem and
-    reports the worst relative error per block. ``corrupt_scatter``
-    switches the backward pass to the unhalved off-diagonal scatter, which
-    must fail the check.
+    reports the worst relative error per block.
     """
     t0 = time.perf_counter()
     features = toy_problem(seed=seed)
@@ -450,7 +431,7 @@ def gradcheck(seed=11, h=1e-5, threshold=1e-5, corrupt_scatter=False):
         np.ones(features.n_shapes, dtype=bool))
     blocks = init_params(retrieval_cfg, features.dim)
     _accumulate_block_errors(errors, features, blocks, all_trips,
-                             retrieval_cfg, h, corrupt_scatter, "retr")
+                             retrieval_cfg, h, "retr")
 
     classify_cfg = TrainConfig(task="classification", batch_size=8,
                                learning_rate=1.0, epochs=1, seed=seed,
@@ -459,14 +440,12 @@ def gradcheck(seed=11, h=1e-5, threshold=1e-5, corrupt_scatter=False):
                          n_classes=int(features.labels.max()) + 1)
     batch = np.arange(features.n_shapes)
     _accumulate_block_errors(errors, features, blocks, batch,
-                             classify_cfg, h, corrupt_scatter, "clf")
+                             classify_cfg, h, "clf")
     return GradcheckReport(errors, threshold, time.perf_counter() - t0)
 
 
-def _accumulate_block_errors(errors, features, blocks, batch, config, h,
-                             corrupt_scatter, tag):
-    _, grads = _batch_forward_backward(features, blocks, batch, config,
-                                       corrupt_scatter=corrupt_scatter)
+def _accumulate_block_errors(errors, features, blocks, batch, config, h, tag):
+    _, grads = _batch_forward_backward(features, blocks, batch, config)
     for name, grad in grads.items():
         theta = blocks[name]
         worst = 0.0

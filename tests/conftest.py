@@ -1,7 +1,10 @@
+import contextlib
+
 import numpy as np
 import pytest
 
 from specpool.shape_io import TriMesh
+from specpool.trainer import FeatureSet
 
 
 @pytest.fixture
@@ -61,3 +64,87 @@ def random_simplex(rng, n):
     p = rng.uniform(0.1, 1.0, size=n)
     k = rng.multinomial(total - n, p / p.sum()) + 1
     return k / float(total)
+
+
+# ---------------------------------------------------------------------------
+# oracles: independent reference paths the production code is checked against
+
+def reference_scatter(vec, d, offdiag=0.5):
+    """Symmetric matrix from an upper-triangle gradient, off-diagonals
+    placed in both mirror slots scaled by ``offdiag``."""
+    if len(vec) != d * (d + 1) // 2:
+        raise ValueError(f"gradient length {len(vec)} does not fit d = {d}")
+    s = np.zeros((d, d))
+    s[np.triu_indices(d)] = vec
+    off = np.triu(s, 1)
+    return np.diag(np.diag(s)) + offdiag * (off + off.T)
+
+
+def _powers(lam, n_weights):
+    return lam[:, None] ** (np.arange(n_weights) / (n_weights - 1.0))[None, :]
+
+
+def reference_forward(U, lam, gamma):
+    """Upper triangle of U f(Lambda) U^T, reconstructed explicitly."""
+    fvals = _powers(lam, len(gamma)) @ gamma
+    return ((U * fvals) @ U.T)[np.triu_indices(len(lam))]
+
+
+def reference_backward(U, lam, gamma, grad, offdiag=0.5):
+    """d(loss)/d(omega) for the upper-triangle gradient ``grad``.
+
+    Scatters ``grad`` into a symmetric matrix, rotates it into the
+    eigenbasis and takes the diagonal, contracts with the power table and
+    projects through the softmax.
+    """
+    s = reference_scatter(grad, len(lam), offdiag)
+    dlam = np.einsum("jk,jk->k", U, s @ U)
+    dgamma = _powers(lam, len(gamma)).T @ dlam
+    return gamma * (dgamma - gamma @ dgamma)
+
+
+def unhalved_q(q):
+    """Q with its off-diagonal rows doubled: Q^T then pulls a gradient back
+    through the unhalved scatter (``reference_backward`` with offdiag=1)."""
+    d = int(round((np.sqrt(8 * len(q) + 1) - 1) / 2))
+    i, j = np.triu_indices(d)
+    doubled = q.copy()
+    doubled[i != j] *= 2.0
+    return doubled
+
+
+def _unhalved_pull_gamma_grad(self, indices, dx):
+    dgamma = np.zeros(self.qmats[indices[0]].shape[1])
+    for row, i in enumerate(indices):
+        dgamma += unhalved_q(self.qmats[i]).T @ dx[row]
+    return dgamma
+
+
+@pytest.fixture
+def unhalved_scatter(monkeypatch):
+    """Context manager that swaps the trainer's transform backward for the
+    unhalved off-diagonal scatter, which the gradient check must reject."""
+    @contextlib.contextmanager
+    def inject():
+        with monkeypatch.context() as m:
+            m.setattr(FeatureSet, "pull_gamma_grad",
+                      _unhalved_pull_gamma_grad)
+            yield
+    return inject
+
+
+def loo_nn_accuracy(embeddings, labels):
+    """Leave-one-out 1-nearest-neighbor accuracy.
+
+    Cross-checks the NN retrieval metric: each shape is classified by its
+    nearest other shape.
+    """
+    embeddings = np.asarray(embeddings, dtype=np.float64)
+    labels = np.asarray(labels)
+    correct = 0
+    for i in range(len(embeddings)):
+        dists = np.linalg.norm(embeddings - embeddings[i], axis=1)
+        dists[i] = np.inf
+        if labels[int(np.argmin(dists))] == labels[i]:
+            correct += 1
+    return correct / len(embeddings)

@@ -25,15 +25,15 @@ import time
 import numpy as np
 import pytest
 
-from conftest import random_rotation, random_simplex
+from conftest import loo_nn_accuracy, random_rotation, random_simplex
 from specpool import pipeline, storage, synth
 from specpool.cli import main
 from specpool.config import RunConfig
 from specpool.descriptors import DescriptorField, sihks
 from specpool.errors import DataError
-from specpool.evaluation import (format_report, loo_nn_accuracy,
-                                 query_metrics, rank, retrieval_metrics,
-                                 split_fraction, split_kfold)
+from specpool.evaluation import (format_report, query_metrics, rank,
+                                 retrieval_metrics, split_fraction,
+                                 split_kfold)
 from specpool.lb_operator import mesh_spectrum
 from specpool.pooling import (cloud_weights, mesh_weights,
                               pool_second_order)
@@ -115,11 +115,13 @@ def ladder_runs(bench, cache):
 # A1: gradients
 
 class TestA1Gradients:
-    def test_analytic_gradients_match_finite_differences(self):
+    def test_analytic_gradients_match_finite_differences(
+            self, unhalved_scatter):
         t0 = time.perf_counter()
         report = gradcheck(seed=0)
         elapsed = time.perf_counter() - t0
-        corrupt = gradcheck(seed=0, corrupt_scatter=True)
+        with unhalved_scatter():
+            corrupt = gradcheck(seed=0)
         verdict(
             "A1", report.passed and elapsed < 30.0 and not corrupt.passed,
             f"max rel err {report.max_error:.2e} (threshold "

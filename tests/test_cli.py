@@ -247,10 +247,13 @@ class TestGradcheck:
         assert "overall: PASS" in out
         assert (tmp_path / "gradcheck.txt").exists()
 
-    def test_corrupt_fails(self, capsys):
-        rc = main(["gradcheck", "--corrupt"])
+    def test_corrupt_fails(self, capsys, unhalved_scatter):
+        with unhalved_scatter():
+            rc = main(["gradcheck"])
         assert rc == 2
         assert "FAIL" in capsys.readouterr().out
+        # the negative check lives in the tests, not behind a flag
+        assert main(["gradcheck", "--corrupt"]) == 1
 
 
 class TestExportMpf:

@@ -6,11 +6,12 @@ import pytest
 
 from specpool.errors import DataError
 from specpool.evaluation import (RankedList, accuracy, export_ranked_lists,
-                                 format_report, loo_nn_accuracy,
-                                 query_metrics, rank, rank_one,
+                                 format_report, query_metrics, rank, rank_one,
                                  retrieval_metrics, split_disjoint_classes,
                                  split_fraction, split_kfold)
 from specpool.shape_io import DatasetManifest, ManifestEntry
+
+from conftest import loo_nn_accuracy
 
 
 def toy_manifest(per_class, n_classes):

@@ -5,10 +5,10 @@ import pytest
 
 from specpool import storage
 from specpool.errors import DataError
-from specpool.metric import (EmbeddingParams, classify_loss, embed,
-                             embed_rows, embed_rows_backward, init_embedding,
-                             load_model, normalize_rows, save_model,
-                             softmax_rows, triplet_loss, triplet_loss_rows)
+from specpool.metric import (EmbeddingParams, classify_loss, embed_rows,
+                             embed_rows_backward, init_embedding, load_model,
+                             normalize_rows, save_model, softmax_rows,
+                             triplet_loss_rows)
 
 from conftest import random_rotation
 
@@ -18,6 +18,18 @@ class TestEmbeddingParams:
         p = EmbeddingParams(np.zeros((3, 7)), np.zeros((4, 3)), np.zeros(4))
         assert p.d_embed == 3 and p.d_in == 7 and p.n_classes == 4
         assert EmbeddingParams(np.zeros((2, 2))).n_classes is None
+
+    def test_from_blocks(self):
+        # a model's blocks carry omega beside the head; a retrieval model
+        # has no classifier
+        blocks = {"omega": np.zeros(11), "W": np.ones((3, 7)),
+                  "C": np.ones((4, 3)), "bias": np.arange(4.0)}
+        p = EmbeddingParams.from_blocks(blocks)
+        assert np.array_equal(p.W, blocks["W"])
+        assert np.array_equal(p.C, blocks["C"])
+        assert np.array_equal(p.bias, blocks["bias"])
+        retrieval = EmbeddingParams.from_blocks({"W": np.ones((3, 7))})
+        assert retrieval.C is None and retrieval.bias is None
 
     def test_validation(self):
         with pytest.raises(DataError, match="2-d"):
@@ -85,11 +97,6 @@ class TestEmbedding:
     def test_dim_mismatch(self):
         with pytest.raises(DataError, match="descriptor dim"):
             embed_rows(np.ones((2, 5)), EmbeddingParams(np.zeros((2, 3))))
-
-    def test_single_vector_wrapper(self):
-        p = EmbeddingParams(np.eye(2))
-        np.testing.assert_allclose(embed(np.array([3.0, 4.0]), p),
-                                   [0.6, 0.8], rtol=1e-15)
 
     def test_backward_zero(self):
         rng = np.random.default_rng(2)
@@ -160,13 +167,6 @@ class TestTripletLoss:
                                       fn[i:i + 1], 2.0, 1.0)[0]
                     for i in range(4))
         assert abs(total - parts) < 1e-12
-
-    def test_list_interface(self):
-        rows = [(np.zeros(2), np.array([1.0, 0.0]), np.array([0.0, 1.0]))]
-        loss, *_ = triplet_loss(rows, margin=1.0, eta=0.0)
-        assert abs(loss - 1.0) < 1e-12
-        with pytest.raises(DataError, match="empty"):
-            triplet_loss([], 1.0, 0.0)
 
     def test_gradients_match_finite_differences(self):
         # keep the batch away from the hinge kink and coincident points

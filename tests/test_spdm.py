@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 
 from specpool.errors import DataError
-from specpool.spdm import (FIXED_TRANSFORMS, GRAD_OFFDIAG_FACTOR, MPFParams,
-                           eig_sym, fixed_transform, g_dim, g_inv_scatter,
-                           g_vec, mpf_eval, mpf_q_matrix, normalized_spectrum,
-                           offdiag_slots, power_grid, q_backward_matrix,
-                           softmax, softmax_backward, spdmt_backward,
-                           spdmt_forward)
+from specpool.spdm import (FIXED_TRANSFORMS, MPFParams, eig_sym,
+                           fixed_transform, g_dim, g_vec, mpf_eval,
+                           mpf_q_matrix, normalized_spectrum, power_grid,
+                           softmax, softmax_backward)
 
-from conftest import random_rotation, random_simplex, random_spd
+from conftest import (random_rotation, random_simplex, random_spd,
+                      reference_backward, reference_forward,
+                      reference_scatter, unhalved_q)
 
 
 def scatter_full(vec, d):
@@ -62,18 +62,20 @@ class TestTriangleVector:
         assert g_dim(3) == 6
 
     def test_scatter_halves_offdiagonals(self):
-        s = g_inv_scatter(np.array([1.0, 4.0, 9.0]), 2)
+        # the reference backward's scatter, against which Q^T is checked
+        s = reference_scatter(np.array([1.0, 4.0, 9.0]), 2)
         assert np.array_equal(s, [[1.0, 2.0], [2.0, 9.0]])
-        full = g_inv_scatter(np.array([1.0, 4.0, 9.0]), 2, offdiag_factor=1.0)
+        full = reference_scatter(np.array([1.0, 4.0, 9.0]), 2, offdiag=1.0)
         assert np.array_equal(full, [[1.0, 4.0], [4.0, 9.0]])
 
     def test_scatter_length_check(self):
-        with pytest.raises(DataError):
-            g_inv_scatter(np.ones(4), 2)
+        with pytest.raises(ValueError):
+            reference_scatter(np.ones(4), 2)
 
     def test_offdiag_slots(self):
-        assert np.array_equal(offdiag_slots(2), [False, True, False])
-        assert offdiag_slots(4).sum() == 6
+        # the injected unhalved scatter doubles exactly the off-diagonal rows
+        assert np.array_equal(unhalved_q(np.ones((3, 1))).ravel(), [1, 2, 1])
+        assert unhalved_q(np.ones((g_dim(4), 2))).sum() == 2 * (4 + 2 * 6)
 
 
 class TestMixtureOfPowers:
@@ -144,6 +146,19 @@ class TestMPFParams:
                                    rtol=1e-12)
         assert abs(softmax(x).sum() - 1.0) < 1e-15
 
+    def test_softmax_flushes_subnormal_weights(self):
+        # exp(-720) is subnormal, exp(-700) normal and exp(-800) exactly 0
+        x = np.array([0.0, -720.0, -700.0, -800.0, -1.0])
+        e = np.exp(x)
+        unflushed = e / e.sum()
+        assert 0.0 < unflushed[1] < np.finfo(float).tiny
+        gamma = softmax(x)
+        assert gamma[1] == 0.0
+        keep = np.array([0, 2, 3, 4])
+        assert np.array_equal(gamma[keep], unflushed[keep])
+        q = np.random.default_rng(15).normal(size=(21, 5))
+        assert np.array_equal(q @ gamma, q @ unflushed)
+
 
 def one_hot_params(n_mix, hot):
     # exp(-1000) underflows to exactly 0, so gamma is an exact one-hot
@@ -152,18 +167,31 @@ def one_hot_params(n_mix, hot):
     return MPFParams(omega)
 
 
+def q_factor(H, n_mix=10):
+    """The Q factor of H, built as the stnet feature set builds it."""
+    U, lam = normalized_spectrum(H)
+    return mpf_q_matrix(U, lam[:, None] ** power_grid(n_mix)[None, :])
+
+
+def q_forward(H, params):
+    return q_factor(H, params.n_mix) @ params.gamma()
+
+
+def q_backward(H, params, grad):
+    return softmax_backward(params.gamma(), q_factor(H, params.n_mix).T @ grad)
+
+
 class TestForward:
     def test_isotropic_input(self):
         params = MPFParams(np.linspace(-1.0, 1.0, 11))
         d = 4
-        vec, cache = spdmt_forward(5.0 * np.eye(d), params)
+        vec = q_forward(5.0 * np.eye(d), params)
         expected = mpf_eval(params.gamma(), 1.0 / math.sqrt(d))
         full = scatter_full(vec, d)
         np.testing.assert_allclose(full, expected * np.eye(d), atol=1e-12)
-        cache.validate()
 
     def test_identity_mixture_is_spectrum_normalization(self):
-        vec, _ = spdmt_forward(np.diag([4.0, 1.0]), one_hot_params(10, 10))
+        vec = q_forward(np.diag([4.0, 1.0]), one_hot_params(10, 10))
         s = math.sqrt(17.0)
         np.testing.assert_allclose(vec, [4.0 / s, 0.0, 1.0 / s], atol=1e-12)
 
@@ -173,7 +201,7 @@ class TestForward:
             d = int(rng.integers(2, 8))
             H = random_spd(rng, d)
             params = MPFParams(rng.normal(size=11))
-            vec, cache = spdmt_forward(H, params)
+            vec = q_forward(H, params)
             evals, evecs = np.linalg.eigh(H)
             lam = evals / np.linalg.norm(evals)
             ref = sum(mpf_eval(params.gamma(), max(lam[i], 0.0))
@@ -186,14 +214,14 @@ class TestForward:
         H = random_spd(rng, 5)
         R = random_rotation(rng, 5)
         params = MPFParams(rng.normal(size=11))
-        vec, _ = spdmt_forward(H, params)
-        vec_rot, _ = spdmt_forward(R @ H @ R.T, params)
+        vec = q_forward(H, params)
+        vec_rot = q_forward(R @ H @ R.T, params)
         np.testing.assert_allclose(scatter_full(vec_rot, 5),
                                    R @ scatter_full(vec, 5) @ R.T, atol=1e-9)
 
     def test_zero_matrix_rejected(self):
         with pytest.raises(DataError, match="zero"):
-            spdmt_forward(np.zeros((3, 3)), MPFParams.init())
+            q_forward(np.zeros((3, 3)), MPFParams.init())
 
     def test_normalized_spectrum_unit_norm(self):
         rng = np.random.default_rng(6)
@@ -201,16 +229,27 @@ class TestForward:
         assert abs(np.linalg.norm(lam) - 1.0) < 1e-12
 
 
-def forward_loss(H, omega, w):
-    vec, _ = spdmt_forward(H, MPFParams(omega))
-    return float(w @ vec)
+def assert_matches_finite_differences(H, omega, w, h=1e-5):
+    # the loss w . g(U f(Lambda) U^T), reconstructed explicitly, with the
+    # eigendecomposition held constant as the backward assumes
+    U, lam = normalized_spectrum(H)
+
+    def loss(om):
+        return float(w @ reference_forward(U, lam, softmax(om)))
+
+    grad = q_backward(H, MPFParams(omega), w)
+    for i in range(len(omega)):
+        e = np.zeros(len(omega))
+        e[i] = h
+        fd = (loss(omega + e) - loss(omega - e)) / (2 * h)
+        assert abs(grad[i] - fd) <= 1e-6 * max(1.0, abs(fd))
 
 
 class TestBackward:
     def test_zero_gradient_passthrough(self):
         rng = np.random.default_rng(7)
-        _, cache = spdmt_forward(random_spd(rng, 4), MPFParams.init())
-        out = spdmt_backward(cache, np.zeros(g_dim(4)))
+        out = q_backward(random_spd(rng, 4), MPFParams.init(),
+                         np.zeros(g_dim(4)))
         assert np.array_equal(out, np.zeros(11))
 
     def test_softmax_backward_kills_constant_direction(self):
@@ -222,16 +261,7 @@ class TestBackward:
         rng = np.random.default_rng(8)
         H = random_spd(rng, 5)
         omega = rng.normal(size=11) * 0.5
-        w = rng.normal(size=g_dim(5))
-        _, cache = spdmt_forward(H, MPFParams(omega))
-        grad = spdmt_backward(cache, w)
-        h = 1e-5
-        for i in range(11):
-            e = np.zeros(11)
-            e[i] = h
-            fd = (forward_loss(H, omega + e, w)
-                  - forward_loss(H, omega - e, w)) / (2 * h)
-            assert abs(grad[i] - fd) <= 1e-6 * max(1.0, abs(fd))
+        assert_matches_finite_differences(H, omega, rng.normal(size=g_dim(5)))
 
     def test_repeated_eigenvalues(self):
         # isotropic input: every direction is an eigenvector, but the map
@@ -239,31 +269,16 @@ class TestBackward:
         rng = np.random.default_rng(9)
         omega = rng.normal(size=11) * 0.3
         w = rng.normal(size=g_dim(4))
-        H = 2.0 * np.eye(4)
-        _, cache = spdmt_forward(H, MPFParams(omega))
-        grad = spdmt_backward(cache, w)
-        h = 1e-5
-        for i in range(11):
-            e = np.zeros(11)
-            e[i] = h
-            fd = (forward_loss(H, omega + e, w)
-                  - forward_loss(H, omega - e, w)) / (2 * h)
-            assert abs(grad[i] - fd) <= 1e-6 * max(1.0, abs(fd))
+        assert_matches_finite_differences(2.0 * np.eye(4), omega, w)
 
     def test_corrupt_scatter_differs(self):
         rng = np.random.default_rng(10)
-        _, cache = spdmt_forward(random_spd(rng, 4),
-                                 MPFParams(rng.normal(size=11)))
+        H = random_spd(rng, 4)
+        params = MPFParams(rng.normal(size=11))
         w = rng.normal(size=g_dim(4))
-        good = spdmt_backward(cache, w)
-        bad = spdmt_backward(cache, w, corrupt_scatter=True)
-        assert not np.allclose(good, bad)
-
-    def test_gradient_length_check(self):
-        rng = np.random.default_rng(11)
-        _, cache = spdmt_forward(random_spd(rng, 4), MPFParams.init())
-        with pytest.raises(DataError):
-            spdmt_backward(cache, np.zeros(5))
+        U, lam = normalized_spectrum(H)
+        bad = reference_backward(U, lam, params.gamma(), w, offdiag=1.0)
+        assert not np.allclose(q_backward(H, params, w), bad)
 
 
 class TestQFactorization:
@@ -271,34 +286,31 @@ class TestQFactorization:
         rng = np.random.default_rng(12)
         H = random_spd(rng, 6)
         params = MPFParams(rng.normal(size=11))
-        vec, cache = spdmt_forward(H, params)
-        q = mpf_q_matrix(cache.U, cache.powers)
-        np.testing.assert_allclose(q @ cache.gamma, vec, atol=1e-12)
+        U, lam = normalized_spectrum(H)
+        np.testing.assert_allclose(q_forward(H, params),
+                                   reference_forward(U, lam, params.gamma()),
+                                   atol=1e-12)
 
     def test_backward_equivalence(self):
         rng = np.random.default_rng(13)
         H = random_spd(rng, 6)
-        _, cache = spdmt_forward(H, MPFParams(rng.normal(size=11)))
-        q = mpf_q_matrix(cache.U, cache.powers)
+        params = MPFParams(rng.normal(size=11))
         w = rng.normal(size=g_dim(6))
-        via_q = softmax_backward(cache.gamma,
-                                 q_backward_matrix(q, 6).T @ w)
-        np.testing.assert_allclose(via_q, spdmt_backward(cache, w),
+        U, lam = normalized_spectrum(H)
+        np.testing.assert_allclose(q_backward(H, params, w),
+                                   reference_backward(U, lam, params.gamma(),
+                                                      w),
                                    atol=1e-12)
 
     def test_corrupt_variants_agree(self):
         rng = np.random.default_rng(14)
         H = random_spd(rng, 5)
-        _, cache = spdmt_forward(H, MPFParams(rng.normal(size=11)))
-        q = mpf_q_matrix(cache.U, cache.powers)
+        gamma = softmax(rng.normal(size=11))
         w = rng.normal(size=g_dim(5))
-        via_q = softmax_backward(
-            cache.gamma, q_backward_matrix(q, 5, corrupt_scatter=True).T @ w)
-        direct = spdmt_backward(cache, w, corrupt_scatter=True)
+        U, lam = normalized_spectrum(H)
+        via_q = softmax_backward(gamma, unhalved_q(q_factor(H)).T @ w)
+        direct = reference_backward(U, lam, gamma, w, offdiag=1.0)
         np.testing.assert_allclose(via_q, direct, atol=1e-12)
-
-    def test_offdiag_factor_constant(self):
-        assert GRAD_OFFDIAG_FACTOR == 0.5
 
 
 class TestFixedTransforms:

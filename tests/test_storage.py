@@ -1,4 +1,6 @@
 import logging
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -31,6 +33,38 @@ class TestBundles:
         # writes go through a temp name, so the target appears atomically
         save_bundle(tmp_path / "c.npz", {"v": np.zeros(2)})
         assert [p.name for p in tmp_path.iterdir()] == ["c.npz"]
+
+    def test_overlapping_writers_of_one_record(self, tmp_path, monkeypatch):
+        # a second writer saves the same record while the first is still
+        # writing; each must go through a temp file of its own
+        path = tmp_path / "r.npz"
+        savez = np.savez
+
+        def savez_then_second_writer(fh, **arrays):
+            savez(fh, **arrays)
+            if "first" in arrays:
+                save_bundle(path, {"second": np.ones(2)})
+
+        monkeypatch.setattr(np, "savez", savez_then_second_writer)
+        save_bundle(path, {"first": np.zeros(2)})
+        assert set(load_bundle(path)) == {"first"}
+        assert [p.name for p in tmp_path.iterdir()] == ["r.npz"]
+
+    def test_failed_write_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        def savez_fails(fh, **arrays):
+            raise OSError("device full")
+
+        monkeypatch.setattr(np, "savez", savez_fails)
+        with pytest.raises(OSError, match="device full"):
+            save_bundle(tmp_path / "d.npz", {"v": np.zeros(2)})
+        assert list(tmp_path.iterdir()) == []
+
+    def test_default_file_permissions(self, tmp_path):
+        umask = os.umask(0)
+        os.umask(umask)
+        save_bundle(tmp_path / "e.npz", {"v": np.zeros(2)})
+        assert stat.S_IMODE((tmp_path / "e.npz").stat().st_mode) \
+            == 0o666 & ~umask
 
 
 class TestParamsHash:

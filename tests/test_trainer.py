@@ -274,8 +274,9 @@ class TestGradcheck:
         assert {"omega[retr]", "W[retr]", "omega[clf]", "W[clf]",
                 "C[clf]", "bias[clf]"} <= set(report.block_errors)
 
-    def test_corrupt_scatter_fails(self):
-        report = gradcheck(corrupt_scatter=True)
+    def test_corrupt_scatter_fails(self, unhalved_scatter):
+        with unhalved_scatter():
+            report = gradcheck()
         assert not report.passed
         assert report.block_errors["omega[retr]"] >= 1e-5
         assert report.block_errors["omega[clf]"] >= 1e-5
