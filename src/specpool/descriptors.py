@@ -22,6 +22,10 @@ HKS_FLOOR = 1e-300  # clamp before log; avoids -inf on total underflow
 
 KINDS = ("hks", "sihks", "wks", "lsf", "concat")
 
+# neighbor pairs framed and binned per step; bounds the frame arrays of one
+# step to a few MB whatever the neighborhood size
+PAIR_CHUNK = 1 << 16
+
 
 @dataclass
 class DescriptorField:
@@ -187,6 +191,11 @@ def lsf(cloud, params=None, seed=0):
     (raw counts). Pairs with |p2-p1| = 0 or p2-p1 parallel to n1 have no
     frame and are skipped. Dense neighborhoods are subsampled to
     ``neighbor_cap`` with a per-point stream derived from ``seed``.
+
+    All neighbor pairs come from one k-d tree query as one array of
+    directed (p1, p2) index pairs; frames, tuples and bins are computed on
+    slices of ``PAIR_CHUNK`` pairs, and each slice is counted into every
+    point's histogram with one ``bincount``.
     """
     params = params or LSFParams()
     pts = cloud.points
@@ -204,45 +213,61 @@ def lsf(cloud, params=None, seed=0):
     spans = np.array([2.0 * np.pi, 2.0, 2.0, radius])
     widths = spans / nbins
 
-    tree = cKDTree(pts)
-    neighborhoods = tree.query_ball_point(pts, radius)
-    values = np.zeros((n, dim))
-    empty = 0
-    for i in range(n):
-        nb = np.array(sorted(j for j in neighborhoods[i] if j != i),
-                      dtype=np.intp)
-        if len(nb) == 0:
-            empty += 1
-            continue
-        if len(nb) > params.neighbor_cap:
-            rng = substream(seed, "lsf", i)
-            nb = np.sort(rng.choice(nb, params.neighbor_cap, replace=False))
-        d = pts[nb] - pts[i]
+    pairs = cKDTree(pts).query_pairs(radius, output_type="ndarray")
+    src = np.concatenate([pairs[:, 0], pairs[:, 1]])
+    dst = np.concatenate([pairs[:, 1], pairs[:, 0]])
+    degree = np.bincount(src, minlength=n)
+    src, dst = _cap_neighbors(src, dst, degree, params.neighbor_cap, seed)
+
+    counts = np.zeros(n * dim, dtype=np.int64)
+    for start in range(0, len(src), PAIR_CHUNK):
+        i = src[start:start + PAIR_CHUNK]
+        j = dst[start:start + PAIR_CHUNK]
+        d = pts[j] - pts[i]
         dist = np.linalg.norm(d, axis=1)
         u = nrm[i]
         dxu = np.cross(d, u)
         dxu_norm = np.linalg.norm(dxu, axis=1)
         ok = (dist > 0.0) & (dxu_norm > 0.0)
-        if not ok.any():
-            continue
-        d, dist = d[ok], dist[ok]
+        i, d, dist, u = i[ok], d[ok], dist[ok], u[ok]
         v = dxu[ok] / dxu_norm[ok, None]
         w = np.cross(u, v)
-        n2 = nrm[nb[ok]]
+        n2 = nrm[j[ok]]
         beta = np.empty((len(d), 4))
-        beta[:, 0] = np.arctan2(np.einsum("ij,ij->i", w, n2), n2 @ u)
+        beta[:, 0] = np.arctan2(np.einsum("ij,ij->i", w, n2),
+                                np.einsum("ij,ij->i", n2, u))
         beta[:, 1] = np.einsum("ij,ij->i", v, n2)
-        beta[:, 2] = (d @ u) / dist
+        beta[:, 2] = np.einsum("ij,ij->i", d, u) / dist
         beta[:, 3] = dist
         bins = np.ceil((beta - lows) / widths).astype(np.int64) - 1
         np.clip(bins, 0, nbins - 1, out=bins)
         flat = ((bins[:, 0] * nbins + bins[:, 1]) * nbins
                 + bins[:, 2]) * nbins + bins[:, 3]
-        values[i] = np.bincount(flat, minlength=dim)
+        counts += np.bincount(i * dim + flat, minlength=n * dim)
+    empty = int(np.count_nonzero(degree == 0))
     if empty:
         logger.warning("%d of %d points have no neighbors within radius %g",
                        empty, n, radius)
-    return DescriptorField(values, "lsf")
+    return DescriptorField(counts.reshape(n, dim), "lsf")
+
+
+def _cap_neighbors(src, dst, degree, cap, seed):
+    """Directed pairs with every neighborhood above ``cap`` cut to ``cap``.
+
+    A capped point draws from its own substream over its ascending
+    neighbor indices, so the sample does not depend on pair order.
+    """
+    over = degree > cap
+    capped = over[src]
+    csrc, cdst = src[capped], dst[capped]
+    cdst = cdst[np.lexsort((cdst, csrc))]
+    heads = np.flatnonzero(over)
+    ends = np.cumsum(degree[heads])
+    picked = [substream(seed, "lsf", i).choice(cdst[end - degree[i]:end],
+                                                cap, replace=False)
+              for i, end in zip(heads, ends)]
+    return (np.concatenate([src[~capped], np.repeat(heads, cap)]),
+            np.concatenate([dst[~capped], *picked]))
 
 
 def concat(fields):

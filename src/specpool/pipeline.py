@@ -29,6 +29,12 @@ TRAINED_ABLATIONS = ("surf_o1_ml", "surf_o2_ml", "st_net")
 
 _HKS_DEFAULT_TIMES = 16
 
+# Version of the code behind each cache stage. Bump a stage's number when a
+# change alters what it stores: a record's key carries the versions of its
+# stage and of every stage it is computed from, so older records miss.
+CODE_VERSIONS = {"spectrum": 1, "cloud": 1, "descriptor": 1, "pooled": 1,
+                 "eig": 1}
+
 
 @dataclass
 class ShapeRecord:
@@ -69,78 +75,74 @@ def _spectral_field(spectrum, run):
 
 
 def extract_shape(entry, manifest, run, cache):
-    """Offline stages for one shape, each behind the cache."""
+    """Offline stages for one shape, each behind the cache.
+
+    A stage reads the record it is computed from only when its own record
+    misses, so a warm read opens just the ``pooled`` and ``eig`` records.
+    """
     mesh = load_mesh(manifest.full_path(entry))
     chash = mesh_content_hash(mesh)
     dparams = _descriptor_params(run)
+    spectral = run.descriptor in SPECTRAL_DESCRIPTORS
+    chain = ("spectrum" if spectral else "cloud", "descriptor", "pooled",
+             "eig")
 
-    if run.descriptor in SPECTRAL_DESCRIPTORS:
-        def compute_spectrum():
-            spec = lb_operator.mesh_spectrum(mesh, run.k_eig)
-            return {"eigenvalues": spec.eigenvalues,
-                    "eigenfunctions": spec.eigenfunctions,
-                    "mass": spec.mass}
+    def cached(stage, params, compute):
+        if cache is None:
+            return compute()
+        versions = [CODE_VERSIONS[s] for s in chain[:chain.index(stage) + 1]]
+        return cache.get_or_compute(entry.shape_id, stage, chash,
+                                    {**params, "code_versions": versions},
+                                    compute)
 
-        spec_rec = _cached(cache, entry.shape_id, "spectrum", chash,
-                           {"k_eig": run.k_eig}, compute_spectrum)
-        spectrum = lb_operator.LBSpectrum(spec_rec["eigenvalues"],
-                                          spec_rec["eigenfunctions"],
-                                          spec_rec["mass"])
+    def compute_spectrum():
+        spec = lb_operator.mesh_spectrum(mesh, run.k_eig)
+        return {"eigenvalues": spec.eigenvalues,
+                "eigenfunctions": spec.eigenfunctions,
+                "mass": spec.mass}
 
-        def compute_descriptor():
-            return {"values": _spectral_field(spectrum, run).values}
+    def compute_cloud():
+        cloud = sample_points(mesh, run.n_points,
+                              substream(run.seed, "sample", entry.shape_id))
+        return {"points": cloud.points, "normals": cloud.normals}
 
-        weights = pooling.mesh_weights(spectrum.mass)
-    else:
-        def compute_cloud():
-            cloud = sample_points(mesh, run.n_points,
-                                  substream(run.seed, "sample",
-                                            entry.shape_id))
-            return {"points": cloud.points, "normals": cloud.normals}
-
-        cloud_rec = _cached(cache, entry.shape_id, "cloud", chash,
-                            {"n_points": run.n_points, "seed": run.seed},
-                            compute_cloud)
-        cloud = PointCloud(cloud_rec["points"], cloud_rec["normals"])
-
-        def compute_descriptor():
-            radius = run.lsf_radius_frac \
-                * bounding_sphere_diameter(cloud.points)
-            params = descriptors.LSFParams(radius=radius,
-                                           neighbor_cap=run.neighbor_cap)
-            return {"values": descriptors.lsf(cloud, params,
-                                              seed=run.seed).values}
-
-        weights = pooling.cloud_weights(run.n_points)
-
-    desc_rec = _cached(cache, entry.shape_id, "descriptor", chash, dparams,
-                       compute_descriptor)
-    field = descriptors.DescriptorField(desc_rec["values"],
-                                        "lsf" if run.descriptor == "lsf"
-                                        else "concat")
+    def compute_lsf():
+        rec = cached("cloud", {"n_points": run.n_points, "seed": run.seed},
+                     compute_cloud)
+        cloud = PointCloud(rec["points"], rec["normals"])
+        radius = run.lsf_radius_frac * bounding_sphere_diameter(cloud.points)
+        params = descriptors.LSFParams(radius=radius,
+                                       neighbor_cap=run.neighbor_cap)
+        return {"values": descriptors.lsf(cloud, params,
+                                          seed=run.seed).values}
 
     def compute_pooled():
+        if spectral:
+            rec = cached("spectrum", {"k_eig": run.k_eig}, compute_spectrum)
+            spectrum = lb_operator.LBSpectrum(rec["eigenvalues"],
+                                              rec["eigenfunctions"],
+                                              rec["mass"])
+            rec = cached("descriptor", dparams, lambda: {
+                "values": _spectral_field(spectrum, run).values})
+            field = descriptors.DescriptorField(rec["values"], "concat")
+            weights = pooling.mesh_weights(spectrum.mass)
+        else:
+            rec = cached("descriptor", dparams, compute_lsf)
+            field = descriptors.DescriptorField(rec["values"], "lsf")
+            weights = pooling.cloud_weights(run.n_points)
         pooled = pooling.pool_second_order(field, weights)
         return {"H": pooled.H,
                 "o1": pooling.pool_first_order(field, weights)}
 
-    pool_rec = _cached(cache, entry.shape_id, "pooled", chash, dparams,
-                       compute_pooled)
+    pool_rec = cached("pooled", dparams, compute_pooled)
 
     def compute_eig():
         u, lam = spdm.normalized_spectrum(pool_rec["H"])
         return {"U": u, "lam": lam}
 
-    eig_rec = _cached(cache, entry.shape_id, "eig", chash, dparams,
-                      compute_eig)
+    eig_rec = cached("eig", dparams, compute_eig)
     return ShapeRecord(entry.shape_id, entry.label, pool_rec["o1"],
                        pool_rec["H"], eig_rec["U"], eig_rec["lam"])
-
-
-def _cached(cache, shape_id, stage, chash, params, compute):
-    if cache is None:
-        return compute()
-    return cache.get_or_compute(shape_id, stage, chash, params, compute)
 
 
 def extract_manifest(manifest, run, cache, entries=None):

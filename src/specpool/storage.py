@@ -82,7 +82,9 @@ class ShapeCache:
 
     ``get_or_compute`` keys a record by shape id, stage name, the geometry
     hash of the shape and a hash of the stage parameters, so stale records
-    are never served after the input or the configuration changes.
+    are never served after the input or the configuration changes. The
+    pipeline puts its per-stage code versions among the parameters, so
+    records written by older code are not served either.
     """
 
     def __init__(self, root):

@@ -2,7 +2,11 @@ import contextlib
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
+from specpool.descriptors import DescriptorField, LSFParams, \
+    default_lsf_radius
+from specpool.rng import substream
 from specpool.shape_io import TriMesh
 from specpool.trainer import FeatureSet
 
@@ -148,3 +152,57 @@ def loo_nn_accuracy(embeddings, labels):
         if labels[int(np.argmin(dists))] == labels[i]:
             correct += 1
     return correct / len(embeddings)
+
+
+def lsf_reference(cloud, params=None, seed=0):
+    """Localized statistical feature histograms, one point at a time.
+
+    The per-point loop that ``descriptors.lsf`` replaces with array
+    operations over all neighbour pairs; the two must agree bit for bit.
+    """
+    params = params or LSFParams()
+    pts = cloud.points
+    nrm = cloud.normals
+    n = len(pts)
+    radius = params.radius if params.radius is not None \
+        else default_lsf_radius(pts)
+    nbins = params.bins_per_dim
+    dim = nbins ** 4
+    lows = np.array([-np.pi, -1.0, -1.0, 0.0])
+    spans = np.array([2.0 * np.pi, 2.0, 2.0, radius])
+    widths = spans / nbins
+
+    tree = cKDTree(pts)
+    neighborhoods = tree.query_ball_point(pts, radius)
+    values = np.zeros((n, dim))
+    for i in range(n):
+        nb = np.array(sorted(j for j in neighborhoods[i] if j != i),
+                      dtype=np.intp)
+        if len(nb) == 0:
+            continue
+        if len(nb) > params.neighbor_cap:
+            rng = substream(seed, "lsf", i)
+            nb = np.sort(rng.choice(nb, params.neighbor_cap, replace=False))
+        d = pts[nb] - pts[i]
+        dist = np.linalg.norm(d, axis=1)
+        u = nrm[i]
+        dxu = np.cross(d, u)
+        dxu_norm = np.linalg.norm(dxu, axis=1)
+        ok = (dist > 0.0) & (dxu_norm > 0.0)
+        if not ok.any():
+            continue
+        d, dist = d[ok], dist[ok]
+        v = dxu[ok] / dxu_norm[ok, None]
+        w = np.cross(u, v)
+        n2 = nrm[nb[ok]]
+        beta = np.empty((len(d), 4))
+        beta[:, 0] = np.arctan2(np.einsum("ij,ij->i", w, n2), n2 @ u)
+        beta[:, 1] = np.einsum("ij,ij->i", v, n2)
+        beta[:, 2] = (d @ u) / dist
+        beta[:, 3] = dist
+        bins = np.ceil((beta - lows) / widths).astype(np.int64) - 1
+        np.clip(bins, 0, nbins - 1, out=bins)
+        flat = ((bins[:, 0] * nbins + bins[:, 1]) * nbins
+                + bins[:, 2]) * nbins + bins[:, 3]
+        values[i] = np.bincount(flat, minlength=dim)
+    return DescriptorField(values, "lsf")

@@ -3,16 +3,17 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
-from specpool import synth
+from specpool import descriptors, synth
 from specpool.descriptors import (DescriptorField, LSFParams, SIHKSParams,
                                   WKSParams, concat, default_lsf_radius,
                                   hks, lsf, sihks, wks)
 from specpool.errors import DataError
 from specpool.lb_operator import LBSpectrum, mesh_spectrum
-from specpool.shape_io import PointCloud, TriMesh
+from specpool.shape_io import PointCloud, TriMesh, sample_points
 
-from conftest import random_rotation
+from conftest import lsf_reference, random_rotation
 
 
 def make_spectrum(eigenvalues, eigenfunctions, mass=None):
@@ -288,6 +289,38 @@ class TestLSF:
             out = lsf(PointCloud(pts, nrm), LSFParams(radius=0.5))
         assert "no neighbors" in caplog.text
         assert np.array_equal(out.values, np.zeros((2, 625)))
+
+    def test_matches_reference_on_synth_cloud(self, monkeypatch, caplog):
+        mesh = synth.make_instance("capsule", 600, 0.06, synth.DEFAULT_SCALE,
+                                   np.random.default_rng(5))
+        cloud = sample_points(mesh, 3000, 5)
+        pts, nrm = cloud.points.copy(), cloud.normals.copy()
+        radius = default_lsf_radius(pts)
+        # a sparse point gets a coincident partner b and a partner c along
+        # its normal; point e is moved out of everyone's reach
+        a = int(np.argmin([len(nb) for nb in
+                           cKDTree(pts).query_ball_point(pts, radius)]))
+        b, c, e = [k for k in range(4) if k != a][:3]
+        pts[b] = pts[a]
+        nrm[a] = nrm[c] = [0.0, 0.0, 1.0]
+        pts[c] = pts[a] + [0.0, 0.0, 0.1 * radius]
+        pts[e] = pts.max(axis=0) + 2.0 * radius
+        cloud = PointCloud(pts, nrm)
+        tree = cKDTree(pts)
+        degree = np.array([len(nb) - 1
+                           for nb in tree.query_ball_point(pts, radius)])
+        cap = int(np.median(degree))
+        assert (degree > cap).any() and 0 < degree[a] <= cap
+        n_pairs = 2 * len(tree.query_pairs(radius, output_type="ndarray"))
+        monkeypatch.setattr(descriptors, "PAIR_CHUNK", n_pairs // 7 + 3)
+        params = LSFParams(radius=radius, neighbor_cap=cap)
+        with caplog.at_level(logging.WARNING, logger="specpool"):
+            out = lsf(cloud, params, seed=2).values
+        assert "1 of 3000 points have no neighbors" in caplog.text
+        assert np.array_equal(out, lsf_reference(cloud, params,
+                                                 seed=2).values)
+        # the coincident pair and the pair along the normal are skipped
+        assert out[a].sum() == degree[a] - 2
 
     def test_default_radius(self):
         rng = np.random.default_rng(9)

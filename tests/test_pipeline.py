@@ -78,6 +78,38 @@ class TestExtraction:
                                                n_points=200, seed=1), cache)
         assert storage.counters["misses"] > 0
 
+    @pytest.mark.parametrize("descriptor,upstream", [
+        ("sihks_wks", "spectrum"), ("lsf", "cloud")])
+    def test_warm_read_opens_only_pooled_and_eig(self, bench, tmp_path,
+                                                 descriptor, upstream):
+        cache = storage.ShapeCache(tmp_path)
+        entry = bench.entries[0]
+        run = run_config(descriptor=descriptor, n_points=200)
+        cold = extract_shape(entry, bench, run, cache)
+        for stage in (upstream, "descriptor"):
+            (record,) = tmp_path.glob(f"{entry.shape_id}.{stage}.*.npz")
+            record.unlink()
+        storage.reset_counters()
+        warm = extract_shape(entry, bench, run, cache)
+        assert (storage.counters["hits"], storage.counters["misses"]) \
+            == (2, 0)
+        for name in ("H", "U", "lam"):
+            assert np.array_equal(getattr(warm, name), getattr(cold, name))
+
+    @pytest.mark.parametrize("stage,misses", [
+        ("spectrum", 4), ("descriptor", 3), ("pooled", 2), ("eig", 1)])
+    def test_code_version_bump_misses(self, bench, tmp_path, monkeypatch,
+                                      stage, misses):
+        # a stage's records, and those computed from them, miss
+        cache = storage.ShapeCache(tmp_path)
+        entry = bench.entries[0]
+        extract_shape(entry, bench, run_config(), cache)
+        monkeypatch.setitem(pipeline.CODE_VERSIONS, stage,
+                            pipeline.CODE_VERSIONS[stage] + 1)
+        storage.reset_counters()
+        extract_shape(entry, bench, run_config(), cache)
+        assert storage.counters["misses"] == misses
+
     def test_lsf_record_shape(self, bench):
         entry = bench.entries[0]
         rec = extract_shape(entry, bench,
