@@ -159,9 +159,8 @@ def cmd_train(args):
     n_classes = manifest.class_count if run.task == "classification" \
         else None
     out = _out_dir(args)
-    blocks, log, info = pipeline.train_run(run, features,
-                                           n_classes=n_classes,
-                                           checkpoint_dir=str(out))
+    blocks, log, info = trainer.train(run, features, n_classes=n_classes,
+                                      checkpoint_dir=str(out))
     meta = {"mode": mode, "task": run.task, "descriptor": run.descriptor,
             "d_in": features.dim, "d_m": run.d_m, "n_mix": run.n_mix,
             "config_digest": _config_digest(run)}

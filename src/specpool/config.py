@@ -1,13 +1,16 @@
 """Plain-text key=value run configuration.
 
 One ``key = value`` pair per line; ``#`` starts a comment. Unknown keys
-and malformed values are reported with their line number.
+and malformed values are reported with their line number; values out of
+range fail on parse too, before any stage runs.
 """
 
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from .errors import ConfigError
+from .metric import LOSS_VARIANTS
+from .spdm import FIXED_TRANSFORMS
 
 DESCRIPTORS = ("sihks_wks", "sihks", "wks", "hks", "lsf")
 
@@ -49,6 +52,15 @@ class RunConfig:
                               f"choose from {DESCRIPTORS}")
         if self.task not in ("retrieval", "classification"):
             raise ConfigError(f"unknown task {self.task!r}")
+        if self.transform not in ("",) + FIXED_TRANSFORMS:
+            raise ConfigError(f"unknown transform {self.transform!r}; "
+                              f"choose from {FIXED_TRANSFORMS}")
+        if self.loss_variant not in LOSS_VARIANTS:
+            raise ConfigError(f"unknown loss variant {self.loss_variant!r}")
+        if self.batch_size < 1 or self.epochs < 1:
+            raise ConfigError("batch_size and epochs must be >= 1")
+        if self.learning_rate <= 0:
+            raise ConfigError("learning_rate must be positive")
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}

@@ -2,9 +2,11 @@
 
 Extraction runs the offline stages per shape (spectrum or sampled cloud,
 raw descriptors, pooling, eigendecomposition of the pooled matrix) behind
-the content-addressed cache. Feature assembly turns cached records into
-the trainer's feature sets for each ablation mode, and the evaluation
-helpers produce embeddings, ranked lists, and reports.
+the content-addressed cache. Feature assembly is the only code that knows
+the feature modes: it turns cached records into the trainer's per-shape
+factors (single columns for the static modes, the Q factors for
+``stnet``), and the evaluation helpers produce embeddings, ranked lists,
+and reports.
 """
 
 import logging
@@ -182,7 +184,11 @@ def feature_mode(ablation=None, transform=None):
 
 
 def build_features(records, entries, mode, run):
-    """A trainer FeatureSet for the given shapes in manifest order."""
+    """A trainer FeatureSet for the given shapes in manifest order.
+
+    ``o1``, ``o2`` and ``fixed:<kind>`` give each shape its static row as
+    a single column; ``stnet`` gives each shape its Q factor.
+    """
     missing = [e.shape_id for e in entries if e.shape_id not in records]
     if missing:
         raise DataError(f"missing extracted records for shapes: {missing}")
@@ -191,64 +197,35 @@ def build_features(records, entries, mode, run):
     recs = [records[i] for i in ids]
 
     if mode == "o1":
-        return trainer.FeatureSet("o1", ids, labels,
-                                  x=np.stack([r.o1 for r in recs]))
-    if mode == "o2":
-        return trainer.FeatureSet("o2", ids, labels,
-                                  x=np.stack([spdm.g_vec(r.H)
-                                              for r in recs]))
-    if mode.startswith("fixed:"):
+        q = [r.o1[:, None] for r in recs]
+    elif mode == "o2":
+        q = [spdm.g_vec(r.H)[:, None] for r in recs]
+    elif mode.startswith("fixed:"):
         kind = mode.split(":", 1)[1]
-        rows = np.stack([spdm.fixed_transform(r.H, kind, eps=run.log_eps)
-                         for r in recs])
-        return trainer.FeatureSet("fixed", ids, labels, x=rows)
-    if mode == "stnet":
+        q = [spdm.fixed_transform(r.H, kind, eps=run.log_eps)[:, None]
+             for r in recs]
+    elif mode == "stnet":
         alphas = spdm.power_grid(run.n_mix)
-        qmats = [spdm.mpf_q_matrix(r.U, r.lam[:, None] ** alphas[None, :])
-                 for r in recs]
-        return trainer.FeatureSet("stnet", ids, labels, qmats=qmats)
-    raise DataError(f"unknown feature mode {mode!r}")
+        q = [spdm.mpf_q_matrix(r.U, r.lam[:, None] ** alphas[None, :])
+             for r in recs]
+    else:
+        raise DataError(f"unknown feature mode {mode!r}")
+    return trainer.FeatureSet(ids, labels, q)
 
 
 def embeddings(features, blocks=None):
     """Evaluation vectors for every shape in a feature set.
 
     Without parameter blocks the normalized feature rows themselves are
-    the embedding (the no-learning baselines); stnet features then use
-    the uniform mixture.
+    the embedding (the no-learning baselines); the mixture is then
+    softmax(0), the uniform mixture for stnet factors.
     """
     idx = np.arange(features.n_shapes)
+    rows = features.rows(idx, features.gamma(blocks))
     if blocks is None:
-        gamma = None
-        if features.mode == "stnet":
-            gamma = spdm.MPFParams.init(_n_mix_of(features)).gamma()
-        rows, _ = metric.normalize_rows(features.rows(idx, gamma))
-        return rows
-    gamma = None
-    if features.mode == "stnet":
-        gamma = spdm.softmax(blocks["omega"])
-    head = metric.EmbeddingParams.from_blocks(blocks)
-    f, _ = metric.embed_rows(features.rows(idx, gamma), head)
+        return metric.normalize_rows(rows)[0]
+    f, _ = metric.embed_rows(rows, metric.EmbeddingParams.from_blocks(blocks))
     return f
-
-
-def _n_mix_of(features):
-    return features.qmats[0].shape[1] - 1
-
-
-def train_run(run, features, n_classes=None, checkpoint_dir=None):
-    """Trainer invocation from a RunConfig."""
-    cfg = trainer.TrainConfig(
-        task=run.task, batch_size=run.batch_size,
-        learning_rate=run.learning_rate, margin=run.margin, eta=run.eta,
-        epochs=run.epochs, seed=run.seed, d_m=run.d_m, n_mix=run.n_mix,
-        t_max_factor=run.t_max_factor,
-        early_stop_patience=run.early_stop_patience,
-        early_stop_tol=run.early_stop_tol,
-        checkpoint_every=run.checkpoint_every,
-        loss_variant=run.loss_variant)
-    return trainer.train(cfg, features, checkpoint_dir=checkpoint_dir,
-                         n_classes=n_classes)
 
 
 def retrieval_eval(features, blocks=None):

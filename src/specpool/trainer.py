@@ -3,89 +3,46 @@
 Supports the retrieval objective (triplet loss over sampled triplets) and
 the classification objective (cross-entropy over shape batches), plus a
 finite-difference gradient checker that exercises the exact production
-forward/backward paths on a bundled toy problem.
+forward/backward paths on a bundled toy problem. Settings come from
+``config.RunConfig``.
 
-Feature modes:
-  o1     pooled first-order vector (static)
-  o2     upper triangle of pooled H (static)
-  fixed  a fixed spectral transform of H (static)
-  stnet  learnable mixture-of-power transform via per-shape Q factors
+Features: each shape has a (dim, m) factor and its row is factor @ gamma.
+The learned transform has m = n_mix + 1 and learns gamma = softmax(omega);
+the static features (first/second order, fixed transforms) are single
+columns with gamma = [1], the same network with the transform held fixed.
 """
 
 import logging
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import metric, spdm, storage
+from .config import RunConfig
 from .errors import DataError
 from .rng import substream
 
 logger = logging.getLogger(__name__)
-
-STATIC_MODES = ("o1", "o2", "fixed")
-MODES = STATIC_MODES + ("stnet",)
-
-
-@dataclass
-class TrainConfig:
-    task: str = "retrieval"        # retrieval | classification
-    batch_size: int = 5
-    learning_rate: float = 20.0
-    margin: float = 60.0
-    eta: float = 1.0
-    epochs: int = 200
-    seed: int = 0
-    d_m: int = 100
-    n_mix: int = 10
-    t_max_factor: int = 10         # triplets per epoch = factor * |train|
-    early_stop_patience: int = 20
-    early_stop_tol: float = 1e-4
-    checkpoint_every: int = 0      # 0 disables
-    loss_variant: str = "bce"      # bce | categorical
-
-    def __post_init__(self):
-        if self.task not in ("retrieval", "classification"):
-            raise DataError(f"unknown task {self.task!r}")
-        if self.batch_size < 1 or self.epochs < 1:
-            raise DataError("batch_size and epochs must be >= 1")
-        if self.learning_rate <= 0:
-            raise DataError("learning_rate must be positive")
-        if self.loss_variant not in metric.LOSS_VARIANTS:
-            raise DataError(f"unknown loss variant {self.loss_variant!r}")
-
-
-def classification_defaults(**overrides):
-    cfg = TrainConfig(task="classification", batch_size=15,
-                      learning_rate=1.0, d_m=300)
-    return replace(cfg, **overrides)
 
 
 @dataclass
 class FeatureSet:
     """Trainable per-shape feature source for one split.
 
-    Static modes carry precomputed rows ``x``; the learnable mode carries
-    per-shape Q factors so a shape's feature row is Q @ gamma.
+    ``q`` holds one (dim, m) factor per shape; a shape's feature row is
+    ``q[i] @ gamma``. The factors stay a list: stacking would copy them,
+    and one list can be shared by several feature sets.
     """
 
-    mode: str
     ids: list
     labels: np.ndarray
-    x: np.ndarray = None
-    qmats: list = field(default=None, repr=False)
+    q: list = field(repr=False)
 
     def __post_init__(self):
-        if self.mode not in MODES:
-            raise DataError(f"unknown feature mode {self.mode!r}")
         self.labels = np.asarray(self.labels, dtype=np.int64)
-        if self.mode == "stnet":
-            if not self.qmats or len(self.qmats) != len(self.ids):
-                raise DataError("stnet features need one Q factor per shape")
-        else:
-            if self.x is None or len(self.x) != len(self.ids):
-                raise DataError("static features need one row per shape")
+        if len(self.q) != len(self.ids) or not self.q:
+            raise DataError("features need one factor per shape")
 
     @property
     def n_shapes(self):
@@ -93,21 +50,33 @@ class FeatureSet:
 
     @property
     def dim(self):
-        if self.mode == "stnet":
-            return self.qmats[0].shape[0]
-        return self.x.shape[1]
+        return self.q[0].shape[0]
 
-    def rows(self, indices, gamma=None):
-        """Feature rows for ``indices``; stnet rows depend on gamma."""
-        if self.mode != "stnet":
-            return self.x[indices]
-        return np.stack([self.qmats[i] @ gamma for i in indices])
+    @property
+    def n_weights(self):
+        """Columns m of each factor: the length of gamma."""
+        return self.q[0].shape[1]
+
+    def gamma(self, blocks=None):
+        """Mixture weights: softmax of the learned logits, or of zeros
+        without them ([1] for a single column, else the uniform mixture)."""
+        if blocks is not None and "omega" in blocks:
+            return spdm.softmax(blocks["omega"])
+        return spdm.softmax(np.zeros(self.n_weights))
+
+    def rows(self, indices, gamma):
+        """Feature rows ``q[i] @ gamma`` for ``indices``."""
+        if len(gamma) == 1:
+            # the same product: numpy's matmul runs a scalar loop over a
+            # single column, an order of magnitude slower at d = 11,325
+            return np.stack([self.q[i][:, 0] for i in indices]) * gamma[0]
+        return np.stack([self.q[i] @ gamma for i in indices])
 
     def pull_gamma_grad(self, indices, dx):
         """Accumulate d(loss)/d(gamma) from per-row feature gradients."""
-        dgamma = np.zeros(self.qmats[indices[0]].shape[1])
+        dgamma = np.zeros(self.n_weights)
         for row, i in enumerate(indices):
-            dgamma += self.qmats[i].T @ dx[row]
+            dgamma += self.q[i].T @ dx[row]
         return dgamma
 
 
@@ -213,12 +182,12 @@ def sgd_step(params, grads, learning_rate):
     return params
 
 
-def init_params(config, d_in, n_classes=None, learn_transform=True):
-    """Fresh parameter blocks for a run; omega only when learnable."""
+def init_params(config, features, n_classes=None):
+    """Fresh parameter blocks; omega only for multi-column factors."""
     blocks = {}
-    if learn_transform:
-        blocks["omega"] = spdm.MPFParams.init(config.n_mix).omega
-    head = metric.init_embedding(d_in, config.d_m, config.seed,
+    if features.n_weights > 1:
+        blocks["omega"] = spdm.MPFParams.init(features.n_weights - 1).omega
+    head = metric.init_embedding(features.dim, config.d_m, config.seed,
                                  n_classes=n_classes)
     blocks["W"] = head.W
     if n_classes is not None:
@@ -230,8 +199,7 @@ def init_params(config, d_in, n_classes=None, learn_transform=True):
 def _batch_forward_backward(features, blocks, batch, config):
     """Loss and parameter gradients for one batch; grads are summed, the
     caller divides by the batch size."""
-    learn_omega = features.mode == "stnet"
-    gamma = spdm.softmax(blocks["omega"]) if learn_omega else None
+    gamma = features.gamma(blocks)
     head = metric.EmbeddingParams.from_blocks(blocks)
     grads = {}
 
@@ -259,7 +227,7 @@ def _batch_forward_backward(features, blocks, batch, config):
 
     dw, dx = metric.embed_rows_backward(df, head, cache)
     grads["W"] = dw
-    if learn_omega:
+    if "omega" in blocks:
         dgamma = features.pull_gamma_grad(indices, dx)
         grads["omega"] = spdm.softmax_backward(gamma, dgamma)
     return loss, grads
@@ -290,16 +258,18 @@ def train(config, features, checkpoint_dir=None, resume=None,
         n_classes = int(features.labels.max()) + 1
     if config.task == "retrieval":
         n_classes = None
-    miss_mark = storage.counters["misses"]
 
     if resume is not None:
         blocks = {k: v.copy() for k, v in resume["blocks"].items()}
         start_epoch = int(resume["epoch"]) + 1
         best = float(resume.get("best_loss", np.inf))
         stale = int(resume.get("stale", 0))
+        if start_epoch >= config.epochs:
+            raise DataError(f"checkpoint is at epoch {resume['epoch']}, the "
+                            f"last of {config.epochs} epochs; nothing to "
+                            f"resume")
     else:
-        blocks = init_params(config, features.dim, n_classes,
-                             learn_transform=features.mode == "stnet")
+        blocks = init_params(config, features, n_classes)
         start_epoch, best, stale = 0, np.inf, 0
 
     log = []
@@ -311,8 +281,8 @@ def train(config, features, checkpoint_dir=None, resume=None,
         for batch in batches:
             loss, grads = _batch_forward_backward(features, blocks, batch,
                                                   config)
-            scale = 1.0 / len(batch)
-            grads = {k: g * scale for k, g in grads.items()}
+            for grad in grads.values():
+                grad *= 1.0 / len(batch)
             sgd_step(blocks, grads, config.learning_rate)
             total += loss
             units += len(batch)
@@ -331,9 +301,6 @@ def train(config, features, checkpoint_dir=None, resume=None,
             stopped_early = True
             break
 
-    if storage.counters["misses"] != miss_mark:
-        raise DataError("training recomputed cached stages; the offline/"
-                        "online split is broken")
     info = {"epochs_run": len(log) + start_epoch, "final_loss": log[-1][1],
             "stopped_early": stopped_early}
     return blocks, log, info
@@ -392,17 +359,17 @@ def toy_problem(n_shapes=8, dim=12, n_mix=10, n_classes=4, seed=11):
     labels.
     """
     rng = substream(seed, "gradcheck")
-    qmats, labels, ids = [], [], []
+    q, labels, ids = [], [], []
     for i in range(n_shapes):
         cols = dim - 3 if i < 2 else dim
         a = rng.normal(size=(dim, cols))
         h = (a @ a.T) / dim
         u, lam = spdm.normalized_spectrum(h)
         powers = lam[:, None] ** spdm.power_grid(n_mix)[None, :]
-        qmats.append(spdm.mpf_q_matrix(u, powers))
+        q.append(spdm.mpf_q_matrix(u, powers))
         labels.append(i % n_classes)
         ids.append(f"toy_{i:02d}")
-    return FeatureSet("stnet", ids, np.array(labels), qmats=qmats)
+    return FeatureSet(ids, np.array(labels), q)
 
 
 def _loss_only(features, blocks, batch, config):
@@ -422,21 +389,20 @@ def gradcheck(seed=11, h=1e-5, threshold=1e-5):
     errors = {}
 
     # margin large enough that every hinge is active and far from its kink
-    retrieval_cfg = TrainConfig(task="retrieval", batch_size=64,
-                                learning_rate=1.0, margin=5.0, eta=1.0,
-                                epochs=1, seed=seed, d_m=6,
-                                loss_variant="bce")
+    retrieval_cfg = RunConfig(task="retrieval", batch_size=64,
+                              learning_rate=1.0, margin=5.0, eta=1.0,
+                              epochs=1, seed=seed, d_m=6, loss_variant="bce")
     all_trips = _all_triplets(
         features.labels,
         np.ones(features.n_shapes, dtype=bool))
-    blocks = init_params(retrieval_cfg, features.dim)
+    blocks = init_params(retrieval_cfg, features)
     _accumulate_block_errors(errors, features, blocks, all_trips,
                              retrieval_cfg, h, "retr")
 
-    classify_cfg = TrainConfig(task="classification", batch_size=8,
-                               learning_rate=1.0, epochs=1, seed=seed,
-                               d_m=6, loss_variant="bce")
-    blocks = init_params(classify_cfg, features.dim,
+    classify_cfg = RunConfig(task="classification", batch_size=8,
+                             learning_rate=1.0, epochs=1, seed=seed, d_m=6,
+                             loss_variant="bce")
+    blocks = init_params(classify_cfg, features,
                          n_classes=int(features.labels.max()) + 1)
     batch = np.arange(features.n_shapes)
     _accumulate_block_errors(errors, features, blocks, batch,

@@ -118,9 +118,9 @@ def unhalved_q(q):
 
 
 def _unhalved_pull_gamma_grad(self, indices, dx):
-    dgamma = np.zeros(self.qmats[indices[0]].shape[1])
+    dgamma = np.zeros(self.n_weights)
     for row, i in enumerate(indices):
-        dgamma += unhalved_q(self.qmats[i]).T @ dx[row]
+        dgamma += unhalved_q(self.q[i]).T @ dx[row]
     return dgamma
 
 

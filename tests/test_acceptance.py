@@ -39,7 +39,7 @@ from specpool.pooling import (cloud_weights, mesh_weights,
                               pool_second_order)
 from specpool.shape_io import TriMesh, load_manifest
 from specpool.spdm import FIXED_TRANSFORMS, mpf_eval, mpf_q_matrix, power_grid
-from specpool.trainer import FeatureSet, gradcheck
+from specpool.trainer import FeatureSet, gradcheck, train
 
 pytestmark = pytest.mark.slow
 
@@ -101,7 +101,7 @@ def ladder_runs(bench, cache):
             if ablation != "surf_o2":
                 train_f = pipeline.build_features(records, train_e, mode,
                                                   run)
-                blocks, _, _ = pipeline.train_run(run, train_f)
+                blocks, _, _ = train(run, train_f)
             report, _ = pipeline.retrieval_eval(test_f, blocks)
             nn[ablation] = report.nn
             if seed == 0:
@@ -295,7 +295,7 @@ class TestA6LearnedVsFixed:
                 # matrices; a baseline that cannot run scores nothing
                 undefined.append(f"{kind} ({exc})")
                 continue
-            blocks, _, _ = pipeline.train_run(run, train_f)
+            blocks, _, _ = train(run, train_f)
             report, _ = pipeline.retrieval_eval(test_f, blocks)
             names.append(kind)
             rows.append(report)
@@ -334,15 +334,14 @@ class TestA7Classification:
 
         def featset(entries):
             ids = [e.shape_id for e in entries]
-            return FeatureSet("stnet", ids,
-                              np.array([e.label for e in entries]),
-                              qmats=[qmats[i] for i in ids])
+            return FeatureSet(ids, np.array([e.label for e in entries]),
+                              [qmats[i] for i in ids])
 
         accs, row_err = [], 0.0
         for fold in split_kfold(bench, 5, seed=0):
             train_f = featset(fold.subset("train"))
             test_f = featset(fold.subset("test"))
-            blocks, _, _ = pipeline.train_run(run, train_f, n_classes=4)
+            blocks, _, _ = train(run, train_f, n_classes=4)
             _, acc, probs = pipeline.classification_eval(test_f, blocks)
             accs.append(acc)
             row_err = max(row_err, np.abs(probs.sum(axis=1) - 1.0).max())

@@ -127,6 +127,29 @@ def trained(workspace):
     return out
 
 
+# values that parse as their field's type but lie outside its range
+OUT_OF_RANGE = ("transform = log_banana", "learning_rate = 0",
+                "batch_size = 0", "epochs = 0", "loss_variant = hinge")
+
+
+class TestConfigValues:
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    @pytest.mark.parametrize("line", OUT_OF_RANGE)
+    def test_rejected_before_extraction(self, workspace, trained, tmp_path,
+                                        capsys, command, line):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(f"k_eig = 20\nd_m = 8\n{line}\n")
+        cache = tmp_path / "cache"
+        model = ["--model", str(trained / "model.npz")] \
+            if command == "eval" else []
+        rc = main([command, "--manifest", str(workspace["split"]),
+                   "--config", str(bad), "--cache", str(cache),
+                   "--out", str(tmp_path / "out"), *model])
+        assert rc == 1
+        assert "config error" in capsys.readouterr().err
+        assert not cache.exists() or not any(cache.iterdir())
+
+
 class TestTrain:
     def test_outputs(self, trained):
         assert (trained / "model.npz").exists()

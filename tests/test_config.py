@@ -27,6 +27,24 @@ class TestDefaults:
         with pytest.raises(ConfigError, match="task"):
             RunConfig(task="generation")
 
+    def test_training_defaults(self):
+        run = RunConfig()
+        assert run.epochs == 200 and run.d_m == 100 and run.n_mix == 10
+        assert run.loss_variant == "bce" and run.transform == ""
+
+    def test_training_validation(self):
+        with pytest.raises(ConfigError, match="batch_size"):
+            RunConfig(batch_size=0)
+        with pytest.raises(ConfigError, match="epochs"):
+            RunConfig(epochs=0)
+        with pytest.raises(ConfigError, match="learning_rate"):
+            RunConfig(learning_rate=0.0)
+        with pytest.raises(ConfigError, match="loss variant"):
+            RunConfig(loss_variant="hinge")
+        with pytest.raises(ConfigError, match="transform"):
+            RunConfig(transform="log_banana")
+        assert RunConfig(transform="half_power").transform == "half_power"
+
 
 class TestParsing:
     def test_values_comments_blanks(self, tmp_path):

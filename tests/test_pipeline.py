@@ -7,9 +7,10 @@ from specpool.errors import DataError
 from specpool.pipeline import (ABLATIONS, TRAINED_ABLATIONS, build_features,
                                classification_eval, embeddings,
                                extract_manifest, extract_shape, feature_mode,
-                               retrieval_eval, train_run)
+                               retrieval_eval)
 from specpool.shape_io import ManifestEntry
 from specpool.synth import SynthSpec, generate
+from specpool.trainer import train
 
 
 @pytest.fixture(scope="module")
@@ -151,27 +152,35 @@ class TestFeatureModes:
         assert set(TRAINED_ABLATIONS) < set(ABLATIONS)
 
 
+def static_rows(feats):
+    return np.stack([q[:, 0] for q in feats.q])
+
+
 class TestBuildFeatures:
     def test_modes(self, bench, records):
         run = run_config()
         entries = bench.entries
+        recs = [records[e.shape_id] for e in entries]
         o1 = build_features(records, entries, "o1", run)
-        assert o1.x.shape == (8, 150)
-        assert np.array_equal(o1.x[0], records[entries[0].shape_id].o1)
+        assert [q.shape for q in o1.q] == [(150, 1)] * 8
+        assert np.array_equal(static_rows(o1), np.stack([r.o1 for r in recs]))
 
         o2 = build_features(records, entries, "o2", run)
-        assert o2.x.shape == (8, 150 * 151 // 2)
-        assert np.array_equal(
-            o2.x[0], spdm.g_vec(records[entries[0].shape_id].H))
+        assert [q.shape for q in o2.q] == [(150 * 151 // 2, 1)] * 8
+        assert np.array_equal(static_rows(o2),
+                              np.stack([spdm.g_vec(r.H) for r in recs]))
 
         fixed = build_features(records, entries, "fixed:half_power", run)
-        ref = spdm.fixed_transform(records[entries[0].shape_id].H,
-                                   "half_power")
-        np.testing.assert_allclose(fixed.x[0], ref, atol=1e-12)
+        assert np.array_equal(
+            static_rows(fixed),
+            np.stack([spdm.fixed_transform(r.H, "half_power") for r in recs]))
 
         st = build_features(records, entries, "stnet", run)
-        assert len(st.qmats) == 8
-        assert st.qmats[0].shape == (150 * 151 // 2, run.n_mix + 1)
+        assert len(st.q) == 8
+        assert st.q[0].shape == (150 * 151 // 2, run.n_mix + 1)
+        alphas = spdm.power_grid(run.n_mix)
+        assert np.array_equal(st.q[3], spdm.mpf_q_matrix(
+            recs[3].U, recs[3].lam[:, None] ** alphas[None, :]))
 
     def test_missing_record(self, bench, records):
         partial = {k: v for k, v in records.items() if k != "torus_001"}
@@ -189,20 +198,24 @@ class TestEmbeddings:
         vecs = embeddings(feats)
         np.testing.assert_allclose(np.linalg.norm(vecs, axis=1), 1.0,
                                    atol=1e-12)
+        rows = np.stack([spdm.g_vec(records[e.shape_id].H)
+                         for e in bench.entries])
+        norms = np.linalg.norm(rows, axis=1)
+        assert np.array_equal(vecs, rows / norms[:, None])
 
     def test_stnet_baseline_uses_uniform_mixture(self, bench, records):
         run = run_config()
         feats = build_features(records, bench.entries, "stnet", run)
         vecs = embeddings(feats)
         gamma = np.full(run.n_mix + 1, 1.0 / (run.n_mix + 1))
-        row = feats.qmats[0] @ gamma
-        np.testing.assert_allclose(vecs[0], row / np.linalg.norm(row),
-                                   rtol=1e-12)
+        rows = np.stack([q @ gamma for q in feats.q])
+        norms = np.linalg.norm(rows, axis=1)
+        assert np.array_equal(vecs, rows / norms[:, None])
 
     def test_trained_blocks_apply_head(self, bench, records):
         run = run_config()
         feats = build_features(records, bench.entries, "o1", run)
-        blocks, _, _ = train_run(run, feats)
+        blocks, _, _ = train(run, feats)
         vecs = embeddings(feats, blocks)
         assert vecs.shape == (8, run.d_m)
 
@@ -211,7 +224,7 @@ class TestEndToEnd:
     def test_retrieval(self, bench, records):
         run = run_config(epochs=10)
         feats = build_features(records, bench.entries, "stnet", run)
-        blocks, log, _ = train_run(run, feats)
+        blocks, log, _ = train(run, feats)
         report, lists = retrieval_eval(feats, blocks)
         assert report.n_queries == 8
         assert len(lists) == 8
@@ -227,7 +240,7 @@ class TestEndToEnd:
         run = run_config(task="classification", epochs=30,
                          learning_rate=0.5, batch_size=4)
         feats = build_features(records, bench.entries, "stnet", run)
-        blocks, _, _ = train_run(run, feats)
+        blocks, _, _ = train(run, feats)
         preds, acc, probs = classification_eval(feats, blocks)
         assert preds.shape == (8,)
         assert probs.shape == (8, 2)

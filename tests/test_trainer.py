@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from specpool import metric, spdm
+from specpool.config import RunConfig
 from specpool.errors import DataError
-from specpool.trainer import (FeatureSet, TrainConfig, build_triplets,
-                              classification_defaults, gradcheck,
+from specpool.trainer import (FeatureSet, build_triplets, gradcheck,
                               init_params, load_checkpoint, save_checkpoint,
                               sgd_step, toy_problem, train, triplet_count)
 
@@ -16,31 +16,18 @@ def static_features(rng, n_per_class, n_classes, dim):
     labels = np.repeat(np.arange(n_classes), n_per_class)
     x = rng.normal(size=(n, dim)) + labels[:, None] * 3.0
     ids = [f"s{i:02d}" for i in range(n)]
-    return FeatureSet("o1", ids, labels, x=x)
+    return FeatureSet(ids, labels, [row[:, None] for row in x])
 
 
-class TestConfig:
-    def test_defaults(self):
-        cfg = TrainConfig()
-        assert (cfg.batch_size, cfg.learning_rate, cfg.margin, cfg.eta) \
-            == (5, 20.0, 60.0, 1.0)
-        assert cfg.epochs == 200 and cfg.d_m == 100 and cfg.n_mix == 10
+def static_rows(feats):
+    return np.stack([q[:, 0] for q in feats.q])
 
-    def test_classification_defaults(self):
-        cfg = classification_defaults(epochs=3)
-        assert cfg.task == "classification"
-        assert (cfg.batch_size, cfg.learning_rate, cfg.d_m) == (15, 1.0, 300)
-        assert cfg.epochs == 3
 
-    def test_validation(self):
-        with pytest.raises(DataError):
-            TrainConfig(task="segmentation")
-        with pytest.raises(DataError):
-            TrainConfig(batch_size=0)
-        with pytest.raises(DataError):
-            TrainConfig(learning_rate=0.0)
-        with pytest.raises(DataError):
-            TrainConfig(loss_variant="hinge")
+def classification_config(**kw):
+    base = dict(task="classification", batch_size=15, learning_rate=1.0,
+                d_m=300)
+    base.update(kw)
+    return RunConfig(**base)
 
 
 class TestTriplets:
@@ -124,7 +111,7 @@ class TestTrain:
                     margin=1.0, eta=0.1, epochs=5, seed=0, d_m=3,
                     early_stop_patience=50)
         base.update(kw)
-        return TrainConfig(**base)
+        return RunConfig(**base)
 
     def test_deterministic(self):
         rng = np.random.default_rng(0)
@@ -157,19 +144,21 @@ class TestTrain:
                                 learning_rate=0.1)
         blocks, _, _ = train(cfg, feats)
 
-        init = init_params(cfg, feats.dim, learn_transform=False)
+        init = init_params(cfg, feats)
+        assert set(init) == {"W"}
         batches = build_triplets(feats.labels, 8, cfg.seed, 0,
                                  t_max=cfg.t_max_factor * feats.n_shapes)
         assert len(batches) == 1
         trips = batches[0]
+        x = static_rows(feats)
         params = metric.EmbeddingParams(init["W"])
-        fa, cache = metric.embed_rows(feats.x[trips[:, 0]], params)
-        fp, _ = metric.embed_rows(feats.x[trips[:, 1]], params)
-        fn, _ = metric.embed_rows(feats.x[trips[:, 2]], params)
+        fa, cache = metric.embed_rows(x[trips[:, 0]], params)
+        fp, _ = metric.embed_rows(x[trips[:, 1]], params)
+        fn, _ = metric.embed_rows(x[trips[:, 2]], params)
         _, dfa, dfp, dfn = metric.triplet_loss_rows(fa, fp, fn, cfg.margin,
                                                     cfg.eta)
-        xs = np.concatenate([feats.x[trips[:, 0]], feats.x[trips[:, 1]],
-                             feats.x[trips[:, 2]]])
+        xs = np.concatenate([x[trips[:, 0]], x[trips[:, 1]],
+                             x[trips[:, 2]]])
         _, cache = metric.embed_rows(xs, params)
         dW, _ = metric.embed_rows_backward(np.concatenate([dfa, dfp, dfn]),
                                            params, cache)
@@ -196,9 +185,9 @@ class TestTrain:
     def test_classification_task(self):
         rng = np.random.default_rng(5)
         feats = static_features(rng, 4, 3, 8)
-        cfg = classification_defaults(epochs=20, d_m=4, batch_size=6,
-                                      learning_rate=0.05, seed=1,
-                                      early_stop_patience=50)
+        cfg = classification_config(epochs=20, d_m=4, batch_size=6,
+                                    learning_rate=0.05, seed=1,
+                                    early_stop_patience=50)
         blocks, log, _ = train(cfg, feats)
         assert set(blocks) == {"W", "C", "bias"}
         assert blocks["C"].shape == (3, 4)
@@ -207,7 +196,7 @@ class TestTrain:
     def test_classification_infers_class_count(self):
         rng = np.random.default_rng(6)
         feats = static_features(rng, 3, 4, 6)
-        cfg = classification_defaults(epochs=2, d_m=3, seed=0)
+        cfg = classification_config(epochs=2, d_m=3, seed=0)
         blocks, _, _ = train(cfg, feats)
         assert blocks["C"].shape[0] == 4
 
@@ -223,6 +212,15 @@ class TestTrain:
         assert all(np.array_equal(full[k], resumed[k]) for k in full)
         assert [r[:2] for r in full_log[3:]] == [r[:2] for r in res_log]
 
+    def test_resume_from_last_epoch_names_it(self, tmp_path):
+        rng = np.random.default_rng(7)
+        feats = static_features(rng, 3, 2, 6)
+        cfg = self.small_config(epochs=3, checkpoint_every=1)
+        train(cfg, feats, checkpoint_dir=str(tmp_path))
+        state = load_checkpoint(tmp_path / "checkpoint_00002.npz")
+        with pytest.raises(DataError, match="epoch 2"):
+            train(cfg, feats, resume=state)
+
     def test_checkpoint_round_trip(self, tmp_path):
         blocks = {"W": np.arange(6.0).reshape(2, 3)}
         save_checkpoint(tmp_path / "c.npz", blocks, 7, 0.25, 2, 9)
@@ -235,17 +233,26 @@ class TestTrain:
 class TestFeatureSet:
     def test_static_rows(self):
         x = np.arange(12.0).reshape(4, 3)
-        feats = FeatureSet("o2", [f"i{k}" for k in range(4)],
-                           np.array([0, 0, 1, 1]), x=x)
+        feats = FeatureSet([f"i{k}" for k in range(4)],
+                           np.array([0, 0, 1, 1]), [row[:, None] for row in x])
         assert feats.dim == 3 and feats.n_shapes == 4
-        assert np.array_equal(feats.rows(np.array([2, 0])), x[[2, 0]])
+        assert feats.n_weights == 1
+        gamma = feats.gamma()
+        assert np.array_equal(gamma, [1.0])
+        assert np.array_equal(feats.rows(np.array([2, 0]), gamma), x[[2, 0]])
+        assert "omega" not in init_params(RunConfig(d_m=2), feats)
 
     def test_stnet_rows_are_q_gamma(self):
         feats = toy_problem(n_shapes=4)
+        assert np.array_equal(feats.gamma(), np.full(11, 1.0 / 11))
         gamma = spdm.softmax(np.linspace(-1, 1, 11))
+        assert np.array_equal(feats.gamma({"omega": np.linspace(-1, 1, 11)}),
+                              gamma)
         rows = feats.rows(np.array([1, 3]), gamma)
-        assert np.array_equal(rows[0], feats.qmats[1] @ gamma)
-        assert np.array_equal(rows[1], feats.qmats[3] @ gamma)
+        assert np.array_equal(rows[0], feats.q[1] @ gamma)
+        assert np.array_equal(rows[1], feats.q[3] @ gamma)
+        omega = init_params(RunConfig(d_m=2), feats)["omega"]
+        assert np.array_equal(omega, np.zeros(11))
 
     def test_pull_gamma_grad_matches_direct(self):
         feats = toy_problem(n_shapes=4)
@@ -253,17 +260,14 @@ class TestFeatureSet:
         dx = rng.normal(size=(2, feats.dim))
         idx = np.array([0, 2])
         out = feats.pull_gamma_grad(idx, dx)
-        ref = feats.qmats[0].T @ dx[0] + feats.qmats[2].T @ dx[1]
+        ref = feats.q[0].T @ dx[0] + feats.q[2].T @ dx[1]
         np.testing.assert_allclose(out, ref, atol=1e-12)
 
     def test_validation(self):
-        with pytest.raises(DataError, match="unknown feature mode"):
-            FeatureSet("bad", ["a"], np.array([0]), x=np.ones((1, 2)))
-        with pytest.raises(DataError, match="one row per shape"):
-            FeatureSet("o1", ["a", "b"], np.array([0, 1]),
-                       x=np.ones((1, 2)))
-        with pytest.raises(DataError, match="Q factor"):
-            FeatureSet("stnet", ["a"], np.array([0]))
+        with pytest.raises(DataError, match="one factor per shape"):
+            FeatureSet(["a", "b"], np.array([0, 1]), [np.ones((2, 1))])
+        with pytest.raises(DataError, match="one factor per shape"):
+            FeatureSet([], np.array([]), [])
 
 
 class TestGradcheck:
