@@ -61,15 +61,19 @@ def _config_digest(run):
     return storage.params_hash(dataclasses.asdict(run))
 
 
+def _print_failures(failures):
+    for shape_id, message in failures:
+        print(f"FAILED {shape_id}: {message}", file=sys.stderr)
+
+
 def _extract_split(manifest, split, run, cache):
     entries = manifest.subset(split)
     if not entries:
         raise _UsageError(f"manifest has no {split!r} shapes")
     records, failures = pipeline.extract_manifest(manifest, run, cache,
                                                   entries)
+    _print_failures(failures)
     if failures:
-        for shape_id, message in failures:
-            print(f"FAILED {shape_id}: {message}", file=sys.stderr)
         raise SpecpoolError(f"{len(failures)} shapes failed extraction")
     return entries, records
 
@@ -101,26 +105,28 @@ def _rebased(manifest, out):
 def cmd_make_splits(args):
     manifest = load_manifest(args.manifest)
     seed = args.seed if args.seed is not None else 0
-    kind, _, param = args.scheme.partition(":")
-    out = _out_dir(args)
-    if kind == "fraction":
-        split = _rebased(evaluation.split_fraction(manifest, float(param),
-                                                   seed), out)
-        save_manifest(out / "split.tsv", split)
-        print(f"wrote {out / 'split.tsv'}")
-    elif kind == "kfold":
-        folds = evaluation.split_kfold(manifest, int(param), seed)
-        for i, fold in enumerate(folds):
-            save_manifest(out / f"fold_{i}.tsv", _rebased(fold, out))
-        print(f"wrote {len(folds)} fold manifests under {out}")
-    elif kind == "disjoint":
-        split = _rebased(evaluation.split_disjoint_classes(
-            manifest, float(param), seed), out)
-        save_manifest(out / "split.tsv", split)
-        print(f"wrote {out / 'split.tsv'}")
-    else:
+    kind, _, raw = args.scheme.partition(":")
+    splitters = {"fraction": evaluation.split_fraction,
+                 "kfold": evaluation.split_kfold,
+                 "disjoint": evaluation.split_disjoint_classes}
+    if kind not in splitters:
         raise _UsageError(f"unknown scheme {args.scheme!r}; use "
                           "fraction:P, kfold:K or disjoint:P")
+    try:
+        param = int(raw) if kind == "kfold" else float(raw)
+    except ValueError:
+        raise _UsageError(f"bad {kind} parameter {raw!r} in scheme "
+                          f"{args.scheme!r}; use fraction:P, kfold:K or "
+                          "disjoint:P")
+    out = _out_dir(args)
+    result = splitters[kind](manifest, param, seed)
+    if kind == "kfold":
+        for i, fold in enumerate(result):
+            save_manifest(out / f"fold_{i}.tsv", _rebased(fold, out))
+        print(f"wrote {len(result)} fold manifests under {out}")
+    else:
+        save_manifest(out / "split.tsv", _rebased(result, out))
+        print(f"wrote {out / 'split.tsv'}")
     return EXIT_OK
 
 
@@ -133,11 +139,8 @@ def cmd_extract(args):
     hits, misses = storage.counters["hits"], storage.counters["misses"]
     print(f"extracted {len(records)} shapes "
           f"({hits} cached records reused, {misses} computed)")
-    if failures:
-        for shape_id, message in failures:
-            print(f"FAILED {shape_id}: {message}", file=sys.stderr)
-        return EXIT_DATA
-    return EXIT_OK
+    _print_failures(failures)
+    return EXIT_DATA if failures else EXIT_OK
 
 
 def _effective_transform(args, run):
@@ -265,10 +268,12 @@ def build_parser():
                                 f"${storage.CACHE_ENV_VAR})")
 
     p = sub.add_parser("synth", help="generate the synthetic benchmark")
-    p.add_argument("--classes", default=",".join(synth.SynthSpec().classes))
-    p.add_argument("--instances", type=int, default=20)
-    p.add_argument("--resolution", type=int, default=1500)
-    p.add_argument("--amplitude", type=float, default=0.06)
+    spec = synth.SynthSpec()
+    p.add_argument("--classes", default=",".join(spec.classes))
+    p.add_argument("--instances", type=int,
+                   default=spec.instances_per_class)
+    p.add_argument("--resolution", type=int, default=spec.resolution)
+    p.add_argument("--amplitude", type=float, default=spec.amplitude)
     common(p, cache=False)
     p.set_defaults(func=cmd_synth)
 

@@ -14,6 +14,12 @@ from .spdm import FIXED_TRANSFORMS
 
 DESCRIPTORS = ("sihks_wks", "sihks", "wks", "hks", "lsf")
 
+# numeric ranges: (fields, lowest bound, whether the bound itself is allowed)
+_RANGES = ((("batch_size", "epochs", "d_m", "n_mix", "k_eig", "n_points",
+             "neighbor_cap", "t_max_factor", "early_stop_patience"), 1, True),
+           (("learning_rate", "lsf_radius_frac", "log_eps"), 0, False),
+           (("margin", "eta", "early_stop_tol", "checkpoint_every"), 0, True))
+
 
 @dataclass
 class RunConfig:
@@ -57,10 +63,13 @@ class RunConfig:
                               f"choose from {FIXED_TRANSFORMS}")
         if self.loss_variant not in LOSS_VARIANTS:
             raise ConfigError(f"unknown loss variant {self.loss_variant!r}")
-        if self.batch_size < 1 or self.epochs < 1:
-            raise ConfigError("batch_size and epochs must be >= 1")
-        if self.learning_rate <= 0:
-            raise ConfigError("learning_rate must be positive")
+        for names, low, closed in _RANGES:
+            for name in names:
+                value = getattr(self, name)
+                if not (value >= low if closed else value > low):
+                    rule = ">=" if closed else ">"
+                    raise ConfigError(f"{name} must be {rule} {low}, "
+                                      f"got {value!r}")
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
@@ -103,12 +112,6 @@ def parse_config(path):
         return RunConfig(**values)
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}")
-
-
-def write_config(path, run):
-    """Serialize a RunConfig; round-trips through ``parse_config``."""
-    lines = [f"{f.name} = {getattr(run, f.name)}" for f in fields(RunConfig)]
-    Path(path).write_text("\n".join(lines) + "\n")
 
 
 def with_overrides(run, **overrides):

@@ -14,7 +14,6 @@ from scipy.spatial import cKDTree
 
 from .errors import DataError
 from .rng import substream
-from .shape_io import bounding_sphere_diameter
 
 logger = logging.getLogger(__name__)
 
@@ -85,12 +84,12 @@ class WKSParams:
 class LSFParams:
     """Neighborhood radius and histogram layout for the 4-tuple feature."""
 
-    radius: float = None    # default 0.15 * bounding-sphere diameter
+    radius: float
+    neighbor_cap: int
     bins_per_dim: int = 5
-    neighbor_cap: int = 512
 
     def __post_init__(self):
-        if self.radius is not None and self.radius <= 0:
+        if self.radius <= 0:
             raise DataError(f"radius must be positive, got {self.radius}")
         if self.bins_per_dim < 2:
             raise DataError(f"need bins_per_dim >= 2, got {self.bins_per_dim}")
@@ -172,11 +171,7 @@ def wks(spectrum, params=None):
     return DescriptorField(phi2 @ (weights / wsum), "wks")
 
 
-def default_lsf_radius(points):
-    return 0.15 * bounding_sphere_diameter(points)
-
-
-def lsf(cloud, params=None, seed=0):
+def lsf(cloud, params, seed=0):
     """Localized statistical feature histograms.
 
     For each point p1, every neighbor p2 within the radius yields a 4-tuple
@@ -197,14 +192,10 @@ def lsf(cloud, params=None, seed=0):
     slices of ``PAIR_CHUNK`` pairs, and each slice is counted into every
     point's histogram with one ``bincount``.
     """
-    params = params or LSFParams()
     pts = cloud.points
     nrm = cloud.normals
     n = len(pts)
-    radius = params.radius if params.radius is not None \
-        else default_lsf_radius(pts)
-    if radius <= 0:
-        raise DataError(f"radius must be positive, got {radius}")
+    radius = params.radius
     nbins = params.bins_per_dim
     dim = nbins ** 4
 

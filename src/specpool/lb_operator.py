@@ -17,7 +17,6 @@ from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 from .errors import DataError
 
 DENSE_VERTEX_LIMIT = 4000
-DEFAULT_K = 100
 
 # eigenvalues at or below this fraction of the largest one are the zero
 # mode (the constant function), which the solvers return at round-off level
@@ -31,10 +30,6 @@ class LBSpectrum:
     eigenvalues: np.ndarray   # (k,) non-negative ascending
     eigenfunctions: np.ndarray  # (n, k), columns mass-orthonormal
     mass: np.ndarray          # (n,) positive Voronoi areas
-
-    @property
-    def k(self):
-        return len(self.eigenvalues)
 
     @property
     def n_points(self):
@@ -197,8 +192,8 @@ def _max_residual(lap, mass, evals, evecs):
     return float(np.max(np.linalg.norm(num, axis=0) / den))
 
 
-def mesh_spectrum(mesh, k=DEFAULT_K):
-    """Build operator and mass for ``mesh`` and return its spectrum."""
+def mesh_spectrum(mesh, k):
+    """Build operator and mass for ``mesh``; return its lowest k modes."""
     ncomp = mesh_component_count(mesh)
     if ncomp != 1:
         raise DataError(f"mesh has {ncomp} connected components; expected 1")

@@ -3,7 +3,8 @@
 The second-order pool is the weighted average of outer products
 H = sum_s pi(s) h(s) h(s)^T, with pi the normalized Voronoi areas on a
 mesh and the uniform weight 1/|S| on a point cloud. H is symmetric PSD
-up to round-off and is explicitly symmetrized.
+up to round-off and is explicitly symmetrized. Mesh and cloud weights
+differ only in how ``pi`` is built; pooling treats them alike.
 """
 
 from dataclasses import dataclass
@@ -12,20 +13,15 @@ import numpy as np
 
 from .errors import DataError
 
-PROVENANCES = ("mesh_weighted", "cloud_average")
-
 
 @dataclass
 class PoolWeights:
     """Normalized per-point weights, summing to 1."""
 
     pi: np.ndarray
-    provenance: str
 
     def __post_init__(self):
         self.pi = np.ascontiguousarray(self.pi, dtype=np.float64)
-        if self.provenance not in PROVENANCES:
-            raise DataError(f"unknown provenance {self.provenance!r}")
         if self.pi.ndim != 1 or len(self.pi) == 0:
             raise DataError("weights must be a non-empty vector")
         if np.any(self.pi <= 0.0):
@@ -40,7 +36,6 @@ class PooledSPD:
     """Pooled second-order matrix, exactly symmetric, PSD up to round-off."""
 
     H: np.ndarray
-    provenance: str
 
     def __post_init__(self):
         self.H = np.ascontiguousarray(self.H, dtype=np.float64)
@@ -59,14 +54,14 @@ class PooledSPD:
 def mesh_weights(mass):
     """Area weights pi(s) = a(s) / sum a(p)."""
     mass = np.asarray(mass, dtype=np.float64)
-    return PoolWeights(mass / mass.sum(), "mesh_weighted")
+    return PoolWeights(mass / mass.sum())
 
 
 def cloud_weights(n_points):
     """Uniform weights 1/|S|."""
     if n_points < 1:
         raise DataError("need at least one point")
-    return PoolWeights(np.full(n_points, 1.0 / n_points), "cloud_average")
+    return PoolWeights(np.full(n_points, 1.0 / n_points))
 
 
 def _check(field, weights):
@@ -80,7 +75,7 @@ def pool_second_order(field, weights):
     _check(field, weights)
     h = field.values
     raw = (h * weights.pi[:, None]).T @ h
-    return PooledSPD(0.5 * (raw + raw.T), weights.provenance)
+    return PooledSPD(0.5 * (raw + raw.T))
 
 
 def pool_first_order(field, weights):

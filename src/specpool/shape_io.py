@@ -1,7 +1,8 @@
 """Shape parsing, dataset manifests, and surface point sampling.
 
-Supported mesh formats are ASCII OFF, OBJ (``v``/``f`` records) and ASCII
-PLY. Manifests are tab-separated text files, one shape per line.
+Meshes are read from ASCII OFF, OBJ (``v``/``f`` records) and ASCII PLY
+and written as ASCII OFF. Manifests are tab-separated text files, one
+shape per line.
 """
 
 import hashlib
@@ -318,32 +319,16 @@ def _parse_ply(path, text):
 
 
 def save_mesh(path, mesh):
-    """Write a mesh in the format chosen by the file extension."""
+    """Write a mesh as ASCII OFF with full-precision coordinates."""
     path = Path(path)
     ext = path.suffix.lower()
+    if ext != ".off":
+        raise MeshFormatError(path, f"cannot write mesh extension {ext!r}; "
+                                    "use .off")
     v, f = mesh.vertices, mesh.faces
-    out = []
-    if ext == ".off":
-        out.append("OFF")
-        out.append(f"{len(v)} {len(f)} 0")
-        out.extend("%.17g %.17g %.17g" % tuple(p) for p in v)
-        out.extend("3 %d %d %d" % tuple(t) for t in f)
-    elif ext == ".obj":
-        out.extend("v %.17g %.17g %.17g" % tuple(p) for p in v)
-        out.extend("f %d %d %d" % (t[0] + 1, t[1] + 1, t[2] + 1) for t in f)
-    elif ext == ".ply":
-        out.extend([
-            "ply", "format ascii 1.0",
-            f"element vertex {len(v)}",
-            "property float64 x", "property float64 y", "property float64 z",
-            f"element face {len(f)}",
-            "property list uchar int vertex_indices",
-            "end_header",
-        ])
-        out.extend("%.17g %.17g %.17g" % tuple(p) for p in v)
-        out.extend("3 %d %d %d" % tuple(t) for t in f)
-    else:
-        raise MeshFormatError(path, f"unsupported mesh extension {ext!r}")
+    out = ["OFF", f"{len(v)} {len(f)} 0"]
+    out.extend("%.17g %.17g %.17g" % tuple(p) for p in v)
+    out.extend("3 %d %d %d" % tuple(t) for t in f)
     path.write_text("\n".join(out) + "\n")
 
 

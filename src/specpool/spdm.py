@@ -14,18 +14,15 @@ halved: the eigenvalue gradient u_k^T S u_k reads each off-diagonal entry
 from both mirror slots, so halving counts it once, as Q's upper-triangle
 rows do. An unhalved scatter equals Q with its off-diagonal rows doubled
 and fails the end-to-end finite-difference check.
-"""
 
-from dataclasses import dataclass
+The logits are the trainer's ``omega`` block, N_m + 1 of them, zero at
+the start (the uniform mixture); H is a plain symmetric array.
+"""
 
 import numpy as np
 import scipy.linalg
 
 from .errors import DataError
-from .pooling import PooledSPD
-
-DEFAULT_N_MIX = 10
-DEFAULT_LOG_EPS = 1e-3
 
 FIXED_TRANSFORMS = ("log_e", "log_reg", "log_max", "half_power",
                     "l2_norm", "ssn")
@@ -45,47 +42,13 @@ def power_grid(n_mix):
     return np.arange(n_mix + 1) / float(n_mix)
 
 
-@dataclass
-class MPFParams:
-    """Mixture logits omega; weights are softmax(omega) on the simplex."""
-
-    omega: np.ndarray
-
-    def __post_init__(self):
-        self.omega = np.ascontiguousarray(self.omega, dtype=np.float64)
-        if self.omega.ndim != 1 or len(self.omega) < 2:
-            raise DataError("omega must be a vector of length >= 2")
-        if not np.all(np.isfinite(self.omega)):
-            raise DataError("non-finite mixture logits")
-
-    @classmethod
-    def init(cls, n_mix=DEFAULT_N_MIX):
-        """Zero logits: the uniform mixture."""
-        return cls(np.zeros(n_mix + 1))
-
-    @property
-    def n_mix(self):
-        return len(self.omega) - 1
-
-    @property
-    def alphas(self):
-        return power_grid(self.n_mix)
-
-    def gamma(self):
-        return softmax(self.omega)
-
-
-def _as_matrix(H):
-    return H.H if isinstance(H, PooledSPD) else np.asarray(H, dtype=np.float64)
-
-
 def eig_sym(H):
     """Eigendecomposition of a symmetric PSD matrix, descending order.
 
     Negative round-off eigenvalues are clamped to 0. Diagonal input keeps
     the identity eigenvector convention (up to column sign).
     """
-    mat = _as_matrix(H)
+    mat = np.asarray(H, dtype=np.float64)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise DataError(f"expected a square matrix, got shape {mat.shape}")
     asym = np.max(np.abs(mat - mat.T)) if mat.size else 0.0
@@ -151,7 +114,7 @@ def mpf_q_matrix(U, powers):
     return q
 
 
-def fixed_transform(H, kind, eps=DEFAULT_LOG_EPS):
+def fixed_transform(H, kind, eps):
     """Non-learned transform baselines.
 
     The first four kinds map the normalized spectrum entrywise and
@@ -162,7 +125,7 @@ def fixed_transform(H, kind, eps=DEFAULT_LOG_EPS):
     if kind not in FIXED_TRANSFORMS:
         raise DataError(f"unknown transform {kind!r}; "
                         f"choose from {FIXED_TRANSFORMS}")
-    mat = _as_matrix(H)
+    mat = np.asarray(H, dtype=np.float64)
     if kind == "l2_norm" or kind == "ssn":
         gv = g_vec(mat)
         if kind == "ssn":

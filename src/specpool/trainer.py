@@ -183,10 +183,11 @@ def sgd_step(params, grads, learning_rate):
 
 
 def init_params(config, features, n_classes=None):
-    """Fresh parameter blocks; omega only for multi-column factors."""
+    """Fresh parameter blocks; omega (zero logits, the uniform mixture)
+    only for multi-column factors."""
     blocks = {}
     if features.n_weights > 1:
-        blocks["omega"] = spdm.MPFParams.init(features.n_weights - 1).omega
+        blocks["omega"] = np.zeros(features.n_weights)
     head = metric.init_embedding(features.dim, config.d_m, config.seed,
                                  n_classes=n_classes)
     blocks["W"] = head.W

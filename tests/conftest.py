@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
-from specpool.descriptors import DescriptorField, LSFParams, \
-    default_lsf_radius
+from specpool.descriptors import DescriptorField
 from specpool.rng import substream
 from specpool.shape_io import TriMesh
 from specpool.trainer import FeatureSet
@@ -154,18 +153,16 @@ def loo_nn_accuracy(embeddings, labels):
     return correct / len(embeddings)
 
 
-def lsf_reference(cloud, params=None, seed=0):
+def lsf_reference(cloud, params, seed=0):
     """Localized statistical feature histograms, one point at a time.
 
     The per-point loop that ``descriptors.lsf`` replaces with array
     operations over all neighbour pairs; the two must agree bit for bit.
     """
-    params = params or LSFParams()
     pts = cloud.points
     nrm = cloud.normals
     n = len(pts)
-    radius = params.radius if params.radius is not None \
-        else default_lsf_radius(pts)
+    radius = params.radius
     nbins = params.bins_per_dim
     dim = nbins ** 4
     lows = np.array([-np.pi, -1.0, -1.0, 0.0])

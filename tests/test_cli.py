@@ -82,6 +82,17 @@ class TestSynthAndSplits:
         assert rc == 1
         assert "unknown scheme" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("scheme", ["fraction:x", "kfold:", "kfold:1.5",
+                                        "disjoint:abc"])
+    def test_malformed_parameter(self, workspace, tmp_path, capsys, scheme):
+        rc = main(["make-splits", "--manifest",
+                   str(workspace["data"] / "manifest.tsv"),
+                   "--scheme", scheme, "--out", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: bad ") and scheme in err
+        assert not (tmp_path / "out").exists()
+
 
 class TestExtract:
     def test_requires_cache(self, workspace, monkeypatch, capsys):
@@ -127,9 +138,16 @@ def trained(workspace):
     return out
 
 
-# values that parse as their field's type but lie outside its range
+# values that parse as their field's type but lie outside its range; each
+# line replaces the base config's line for the same key
 OUT_OF_RANGE = ("transform = log_banana", "learning_rate = 0",
-                "batch_size = 0", "epochs = 0", "loss_variant = hinge")
+                "batch_size = 0", "epochs = 0", "loss_variant = hinge",
+                "d_m = 0", "n_mix = 0", "k_eig = 0", "n_points = 0",
+                "neighbor_cap = 0", "t_max_factor = 0",
+                "early_stop_patience = 0", "lsf_radius_frac = 0",
+                "log_eps = 0", "margin = -1", "eta = -0.5",
+                "early_stop_tol = -1e-4", "checkpoint_every = -1")
+BASE_CONFIG = {"k_eig": "20", "d_m": "8"}
 
 
 class TestConfigValues:
@@ -138,7 +156,9 @@ class TestConfigValues:
     def test_rejected_before_extraction(self, workspace, trained, tmp_path,
                                         capsys, command, line):
         bad = tmp_path / "bad.cfg"
-        bad.write_text(f"k_eig = 20\nd_m = 8\n{line}\n")
+        key, _, value = (part.strip() for part in line.partition("="))
+        body = {**BASE_CONFIG, key: value}
+        bad.write_text("".join(f"{k} = {v}\n" for k, v in body.items()))
         cache = tmp_path / "cache"
         model = ["--model", str(trained / "model.npz")] \
             if command == "eval" else []

@@ -2,8 +2,7 @@ from pathlib import Path
 
 import pytest
 
-from specpool.config import (RunConfig, parse_config, with_overrides,
-                             write_config)
+from specpool.config import RunConfig, parse_config, with_overrides
 from specpool.errors import ConfigError
 
 
@@ -44,6 +43,19 @@ class TestDefaults:
         with pytest.raises(ConfigError, match="transform"):
             RunConfig(transform="log_banana")
         assert RunConfig(transform="half_power").transform == "half_power"
+
+    @pytest.mark.parametrize("name, edge, outside", [
+        ("d_m", 1, 0), ("n_mix", 1, 0), ("k_eig", 1, 0), ("n_points", 1, 0),
+        ("neighbor_cap", 1, 0), ("t_max_factor", 1, 0),
+        ("early_stop_patience", 1, 0), ("lsf_radius_frac", 1e-9, 0.0),
+        ("log_eps", 1e-12, 0.0), ("margin", 0.0, -1e-9), ("eta", 0.0, -1.0),
+        ("early_stop_tol", 0.0, -1e-4), ("checkpoint_every", 0, -1),
+        ("lsf_radius_frac", 1e-9, float("nan")),
+    ])
+    def test_ranges(self, name, edge, outside):
+        assert getattr(RunConfig(**{name: edge}), name) == edge
+        with pytest.raises(ConfigError, match=f"{name} must be"):
+            RunConfig(**{name: outside})
 
 
 class TestParsing:
@@ -106,14 +118,6 @@ class TestShippedConfigs:
 
 
 class TestRoundTrip:
-    def test_write_then_parse(self, tmp_path):
-        run = RunConfig(task="classification", descriptor="lsf", d_m=300,
-                        batch_size=15, learning_rate=1.0, seed=9,
-                        early_stop_tol=5e-5, transform="")
-        path = tmp_path / "out.cfg"
-        write_config(path, run)
-        assert parse_config(path) == run
-
     def test_overrides(self):
         run = RunConfig()
         same = with_overrides(run, seed=None, d_m=None)

@@ -7,11 +7,12 @@ from scipy.spatial import cKDTree
 
 from specpool import descriptors, synth
 from specpool.descriptors import (DescriptorField, LSFParams, SIHKSParams,
-                                  WKSParams, concat, default_lsf_radius,
-                                  hks, lsf, sihks, wks)
+                                  WKSParams, concat, hks, lsf, sihks, wks)
 from specpool.errors import DataError
 from specpool.lb_operator import LBSpectrum, mesh_spectrum
-from specpool.shape_io import PointCloud, TriMesh, sample_points
+from specpool.config import RunConfig
+from specpool.shape_io import (PointCloud, TriMesh, bounding_sphere_diameter,
+                               sample_points)
 
 from conftest import lsf_reference, random_rotation
 
@@ -201,7 +202,8 @@ class TestLSF:
     def test_single_pair_histogram(self):
         pts = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
         nrm = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0]])
-        out = lsf(PointCloud(pts, nrm), LSFParams(radius=2.0)).values
+        out = lsf(PointCloud(pts, nrm),
+                  LSFParams(radius=2.0, neighbor_cap=512)).values
         # both directions give beta = (0, 0, 0, 1) -> bins (2, 2, 2, 2)
         flat = ((2 * 5 + 2) * 5 + 2) * 5 + 2
         expected = np.zeros((2, 625))
@@ -212,13 +214,15 @@ class TestLSF:
         # displacement parallel to n1 leaves no frame
         pts = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
         nrm = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0]])
-        out = lsf(PointCloud(pts, nrm), LSFParams(radius=2.0)).values
+        out = lsf(PointCloud(pts, nrm),
+                  LSFParams(radius=2.0, neighbor_cap=512)).values
         assert np.array_equal(out, np.zeros((2, 625)))
 
     def test_coincident_points_skipped(self):
         pts = np.zeros((2, 3))
         nrm = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
-        out = lsf(PointCloud(pts, nrm), LSFParams(radius=1.0)).values
+        out = lsf(PointCloud(pts, nrm),
+                  LSFParams(radius=1.0, neighbor_cap=512)).values
         assert np.array_equal(out, np.zeros((2, 625)))
 
     def test_matches_brute_force(self):
@@ -226,7 +230,8 @@ class TestLSF:
         pts = rng.uniform(-1, 1, size=(10, 3))
         nrm = unit_rows(rng, 10)
         radius = 1.7
-        out = lsf(PointCloud(pts, nrm), LSFParams(radius=radius)).values
+        out = lsf(PointCloud(pts, nrm),
+                  LSFParams(radius=radius, neighbor_cap=512)).values
 
         def bin_of(x, lo, width, nbins):
             for b in range(nbins):
@@ -265,7 +270,7 @@ class TestLSF:
         pts = rng.uniform(-1, 1, size=(12, 3))
         nrm = unit_rows(rng, 12)
         rot = random_rotation(rng)
-        params = LSFParams(radius=1.3)
+        params = LSFParams(radius=1.3, neighbor_cap=512)
         a = lsf(PointCloud(pts, nrm), params)
         b = lsf(PointCloud(pts @ rot.T, nrm @ rot.T), params)
         assert np.array_equal(a.values, b.values)
@@ -286,7 +291,8 @@ class TestLSF:
         pts = np.array([[0.0, 0.0, 0.0], [5.0, 0.0, 0.0]])
         nrm = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0]])
         with caplog.at_level(logging.WARNING, logger="specpool"):
-            out = lsf(PointCloud(pts, nrm), LSFParams(radius=0.5))
+            out = lsf(PointCloud(pts, nrm),
+                      LSFParams(radius=0.5, neighbor_cap=512))
         assert "no neighbors" in caplog.text
         assert np.array_equal(out.values, np.zeros((2, 625)))
 
@@ -295,7 +301,7 @@ class TestLSF:
                                    np.random.default_rng(5))
         cloud = sample_points(mesh, 3000, 5)
         pts, nrm = cloud.points.copy(), cloud.normals.copy()
-        radius = default_lsf_radius(pts)
+        radius = 0.15 * bounding_sphere_diameter(pts)
         # a sparse point gets a coincident partner b and a partner c along
         # its normal; point e is moved out of everyone's reach
         a = int(np.argmin([len(nb) for nb in
@@ -323,17 +329,18 @@ class TestLSF:
         assert out[a].sum() == degree[a] - 2
 
     def test_default_radius(self):
+        # the radius the pipeline passes with the default run config
         rng = np.random.default_rng(9)
         pts = rng.uniform(size=(20, 3))
-        r = default_lsf_radius(pts)
+        r = RunConfig().lsf_radius_frac * bounding_sphere_diameter(pts)
         diam = np.linalg.norm(pts.max(axis=0) - pts.min(axis=0))
         assert 0.0 < r < diam
 
     def test_bad_params(self):
         with pytest.raises(DataError):
-            LSFParams(radius=-1.0)
+            LSFParams(radius=-1.0, neighbor_cap=512)
         with pytest.raises(DataError):
-            LSFParams(bins_per_dim=1)
+            LSFParams(radius=1.0, neighbor_cap=512, bins_per_dim=1)
 
 
 class TestConcatAndField:

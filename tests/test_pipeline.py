@@ -173,7 +173,8 @@ class TestBuildFeatures:
         fixed = build_features(records, entries, "fixed:half_power", run)
         assert np.array_equal(
             static_rows(fixed),
-            np.stack([spdm.fixed_transform(r.H, "half_power") for r in recs]))
+            np.stack([spdm.fixed_transform(r.H, "half_power", run.log_eps)
+                      for r in recs]))
 
         st = build_features(records, entries, "stnet", run)
         assert len(st.q) == 8

@@ -16,24 +16,20 @@ class TestWeights:
     def test_mesh_weights_normalized(self):
         w = mesh_weights(np.array([1.0, 3.0]))
         np.testing.assert_allclose(w.pi, [0.25, 0.75], rtol=1e-15)
-        assert w.provenance == "mesh_weighted"
 
     def test_cloud_weights_uniform(self):
         w = cloud_weights(4)
         assert np.array_equal(w.pi, np.full(4, 0.25))
-        assert w.provenance == "cloud_average"
         with pytest.raises(DataError):
             cloud_weights(0)
 
     def test_validation(self):
         with pytest.raises(DataError, match="non-positive"):
-            PoolWeights(np.array([0.5, 0.5, 0.0]), "cloud_average")
+            PoolWeights(np.array([0.5, 0.5, 0.0]))
         with pytest.raises(DataError, match="sum"):
-            PoolWeights(np.array([0.5, 0.6]), "cloud_average")
-        with pytest.raises(DataError, match="provenance"):
-            PoolWeights(np.array([1.0]), "other")
+            PoolWeights(np.array([0.5, 0.6]))
         with pytest.raises(DataError):
-            PoolWeights(np.empty(0), "cloud_average")
+            PoolWeights(np.empty(0))
 
 
 class TestSecondOrder:
@@ -57,8 +53,7 @@ class TestSecondOrder:
             h = rng.normal(size=(n, d))
             pi = rng.uniform(0.1, 1.0, size=n)
             pi /= pi.sum()
-            out = pool_second_order(field_of(h),
-                                    PoolWeights(pi, "mesh_weighted"))
+            out = pool_second_order(field_of(h), PoolWeights(pi))
             ref = np.zeros((d, d))
             for s in range(n):
                 ref += pi[s] * np.outer(h[s], h[s])
@@ -84,9 +79,8 @@ class TestSecondOrder:
         pi = rng.uniform(0.5, 1.5, size=12)
         pi /= pi.sum()
         perm = rng.permutation(12)
-        a = pool_second_order(field_of(h), PoolWeights(pi, "mesh_weighted"))
-        b = pool_second_order(field_of(h[perm]),
-                              PoolWeights(pi[perm], "mesh_weighted"))
+        a = pool_second_order(field_of(h), PoolWeights(pi))
+        b = pool_second_order(field_of(h[perm]), PoolWeights(pi[perm]))
         np.testing.assert_allclose(a.H, b.H, atol=1e-15)
 
     def test_uniform_mesh_equals_cloud(self):
@@ -96,8 +90,6 @@ class TestSecondOrder:
         a = pool_second_order(field_of(h), mesh_weights(np.full(16, 2.5)))
         b = pool_second_order(field_of(h), cloud_weights(16))
         assert np.array_equal(a.H, b.H)
-        assert a.provenance == "mesh_weighted"
-        assert b.provenance == "cloud_average"
 
     def test_trace_identity(self):
         # tr H = sum_s pi(s) |h(s)|^2
@@ -105,7 +97,7 @@ class TestSecondOrder:
         h = rng.normal(size=(20, 8))
         pi = rng.uniform(0.1, 1.0, size=20)
         pi /= pi.sum()
-        out = pool_second_order(field_of(h), PoolWeights(pi, "mesh_weighted"))
+        out = pool_second_order(field_of(h), PoolWeights(pi))
         ref = float(pi @ (h ** 2).sum(axis=1))
         assert abs(np.trace(out.H) - ref) <= 1e-9 * ref
 
@@ -131,7 +123,7 @@ class TestFirstOrder:
         h = rng.normal(size=(15, 6))
         pi = rng.uniform(0.1, 1.0, size=15)
         pi /= pi.sum()
-        out = pool_first_order(field_of(h), PoolWeights(pi, "mesh_weighted"))
+        out = pool_first_order(field_of(h), PoolWeights(pi))
         ref = np.zeros(6)
         for s in range(15):
             ref += pi[s] * h[s]
@@ -145,9 +137,9 @@ class TestFirstOrder:
 class TestPooledSPD:
     def test_validation(self):
         with pytest.raises(DataError, match="square"):
-            PooledSPD(np.ones((2, 3)), "cloud_average")
+            PooledSPD(np.ones((2, 3)))
         with pytest.raises(DataError, match="symmetric"):
-            PooledSPD(np.array([[1.0, 2.0], [2.1, 1.0]]), "cloud_average")
+            PooledSPD(np.array([[1.0, 2.0], [2.1, 1.0]]))
         with pytest.raises(DataError, match="finite"):
-            PooledSPD(np.array([[np.inf]]), "cloud_average")
-        assert PooledSPD(np.eye(3), "mesh_weighted").dim == 3
+            PooledSPD(np.array([[np.inf]]))
+        assert PooledSPD(np.eye(3)).dim == 3

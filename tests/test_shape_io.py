@@ -123,13 +123,32 @@ class TestLoadMesh:
         assert np.array_equal(back.faces, tetra_mesh.faces)
 
     def test_round_trip_obj_and_ply(self, tmp_path, tetra_mesh):
-        for ext in (".obj", ".ply"):
+        # 17 significant digits identify a double exactly
+        verts = tetra_mesh.vertices / 3.0 + 0.1
+        faces = tetra_mesh.faces
+        vlines = ["%.17g %.17g %.17g" % tuple(p) for p in verts]
+        texts = {
+            ".obj": ["v " + line for line in vlines]
+                    + ["f %d %d %d" % tuple(t + 1) for t in faces],
+            ".ply": ["ply", "format ascii 1.0",
+                     f"element vertex {len(verts)}",
+                     "property float64 x", "property float64 y",
+                     "property float64 z", f"element face {len(faces)}",
+                     "property list uchar int vertex_indices", "end_header"]
+                    + vlines + ["3 %d %d %d" % tuple(t) for t in faces],
+        }
+        for ext, lines in texts.items():
             p = tmp_path / f"rt{ext}"
-            save_mesh(p, tetra_mesh)
+            p.write_text("\n".join(lines) + "\n")
             back = load_mesh(p)
-            np.testing.assert_allclose(back.vertices, tetra_mesh.vertices,
-                                       rtol=0, atol=1e-9)
-            assert np.array_equal(back.faces, tetra_mesh.faces)
+            assert np.array_equal(back.vertices, verts)
+            assert np.array_equal(back.faces, faces)
+
+    def test_writes_only_off(self, tmp_path, tetra_mesh):
+        for ext in (".obj", ".ply", ".stl"):
+            with pytest.raises(MeshFormatError, match="use .off"):
+                save_mesh(tmp_path / f"t{ext}", tetra_mesh)
+            assert not (tmp_path / f"t{ext}").exists()
 
 
 class TestContentHash:

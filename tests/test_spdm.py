@@ -4,14 +4,17 @@ import numpy as np
 import pytest
 
 from specpool.errors import DataError
-from specpool.spdm import (FIXED_TRANSFORMS, MPFParams, eig_sym,
-                           fixed_transform, g_dim, g_vec, mpf_eval,
-                           mpf_q_matrix, normalized_spectrum, power_grid,
-                           softmax, softmax_backward)
+from specpool.spdm import (FIXED_TRANSFORMS, eig_sym, fixed_transform,
+                           g_dim, g_vec, mpf_eval, mpf_q_matrix,
+                           normalized_spectrum, power_grid, softmax,
+                           softmax_backward)
 
 from conftest import (random_rotation, random_simplex, random_spd,
                       reference_backward, reference_forward,
                       reference_scatter, unhalved_q)
+
+
+EPS = 1e-3  # the default log_eps; only the log_reg and log_max kinds read it
 
 
 def scatter_full(vec, d):
@@ -126,19 +129,7 @@ class TestMixtureOfPowers:
 
 
 class TestMPFParams:
-    def test_init_uniform(self):
-        p = MPFParams.init(10)
-        assert np.array_equal(p.omega, np.zeros(11))
-        assert p.n_mix == 10
-        np.testing.assert_allclose(p.gamma(), np.full(11, 1.0 / 11.0),
-                                   rtol=1e-15)
-        assert np.array_equal(p.alphas, np.arange(11) / 10.0)
-
-    def test_validation(self):
-        with pytest.raises(DataError):
-            MPFParams(np.array([1.0]))
-        with pytest.raises(DataError):
-            MPFParams(np.array([1.0, np.inf]))
+    """The mixture's parameters are logits omega; gamma = softmax(omega)."""
 
     def test_softmax_shift_invariant(self):
         x = np.array([1.0, -2.0, 0.5])
@@ -164,7 +155,7 @@ def one_hot_params(n_mix, hot):
     # exp(-1000) underflows to exactly 0, so gamma is an exact one-hot
     omega = np.zeros(n_mix + 1)
     omega[hot] = 1000.0
-    return MPFParams(omega)
+    return omega
 
 
 def q_factor(H, n_mix=10):
@@ -173,20 +164,21 @@ def q_factor(H, n_mix=10):
     return mpf_q_matrix(U, lam[:, None] ** power_grid(n_mix)[None, :])
 
 
-def q_forward(H, params):
-    return q_factor(H, params.n_mix) @ params.gamma()
+def q_forward(H, omega):
+    return q_factor(H, len(omega) - 1) @ softmax(omega)
 
 
-def q_backward(H, params, grad):
-    return softmax_backward(params.gamma(), q_factor(H, params.n_mix).T @ grad)
+def q_backward(H, omega, grad):
+    return softmax_backward(softmax(omega),
+                            q_factor(H, len(omega) - 1).T @ grad)
 
 
 class TestForward:
     def test_isotropic_input(self):
-        params = MPFParams(np.linspace(-1.0, 1.0, 11))
+        omega = np.linspace(-1.0, 1.0, 11)
         d = 4
-        vec = q_forward(5.0 * np.eye(d), params)
-        expected = mpf_eval(params.gamma(), 1.0 / math.sqrt(d))
+        vec = q_forward(5.0 * np.eye(d), omega)
+        expected = mpf_eval(softmax(omega), 1.0 / math.sqrt(d))
         full = scatter_full(vec, d)
         np.testing.assert_allclose(full, expected * np.eye(d), atol=1e-12)
 
@@ -200,11 +192,11 @@ class TestForward:
         for _ in range(10):
             d = int(rng.integers(2, 8))
             H = random_spd(rng, d)
-            params = MPFParams(rng.normal(size=11))
-            vec = q_forward(H, params)
+            omega = rng.normal(size=11)
+            vec = q_forward(H, omega)
             evals, evecs = np.linalg.eigh(H)
             lam = evals / np.linalg.norm(evals)
-            ref = sum(mpf_eval(params.gamma(), max(lam[i], 0.0))
+            ref = sum(mpf_eval(softmax(omega), max(lam[i], 0.0))
                       * np.outer(evecs[:, i], evecs[:, i])
                       for i in range(d))
             np.testing.assert_allclose(scatter_full(vec, d), ref, atol=1e-10)
@@ -213,15 +205,15 @@ class TestForward:
         rng = np.random.default_rng(5)
         H = random_spd(rng, 5)
         R = random_rotation(rng, 5)
-        params = MPFParams(rng.normal(size=11))
-        vec = q_forward(H, params)
-        vec_rot = q_forward(R @ H @ R.T, params)
+        omega = rng.normal(size=11)
+        vec = q_forward(H, omega)
+        vec_rot = q_forward(R @ H @ R.T, omega)
         np.testing.assert_allclose(scatter_full(vec_rot, 5),
                                    R @ scatter_full(vec, 5) @ R.T, atol=1e-9)
 
     def test_zero_matrix_rejected(self):
         with pytest.raises(DataError, match="zero"):
-            q_forward(np.zeros((3, 3)), MPFParams.init())
+            q_forward(np.zeros((3, 3)), np.zeros(11))
 
     def test_normalized_spectrum_unit_norm(self):
         rng = np.random.default_rng(6)
@@ -237,7 +229,7 @@ def assert_matches_finite_differences(H, omega, w, h=1e-5):
     def loss(om):
         return float(w @ reference_forward(U, lam, softmax(om)))
 
-    grad = q_backward(H, MPFParams(omega), w)
+    grad = q_backward(H, omega, w)
     for i in range(len(omega)):
         e = np.zeros(len(omega))
         e[i] = h
@@ -248,7 +240,7 @@ def assert_matches_finite_differences(H, omega, w, h=1e-5):
 class TestBackward:
     def test_zero_gradient_passthrough(self):
         rng = np.random.default_rng(7)
-        out = q_backward(random_spd(rng, 4), MPFParams.init(),
+        out = q_backward(random_spd(rng, 4), np.zeros(11),
                          np.zeros(g_dim(4)))
         assert np.array_equal(out, np.zeros(11))
 
@@ -274,31 +266,31 @@ class TestBackward:
     def test_corrupt_scatter_differs(self):
         rng = np.random.default_rng(10)
         H = random_spd(rng, 4)
-        params = MPFParams(rng.normal(size=11))
+        omega = rng.normal(size=11)
         w = rng.normal(size=g_dim(4))
         U, lam = normalized_spectrum(H)
-        bad = reference_backward(U, lam, params.gamma(), w, offdiag=1.0)
-        assert not np.allclose(q_backward(H, params, w), bad)
+        bad = reference_backward(U, lam, softmax(omega), w, offdiag=1.0)
+        assert not np.allclose(q_backward(H, omega, w), bad)
 
 
 class TestQFactorization:
     def test_forward_equivalence(self):
         rng = np.random.default_rng(12)
         H = random_spd(rng, 6)
-        params = MPFParams(rng.normal(size=11))
+        omega = rng.normal(size=11)
         U, lam = normalized_spectrum(H)
-        np.testing.assert_allclose(q_forward(H, params),
-                                   reference_forward(U, lam, params.gamma()),
+        np.testing.assert_allclose(q_forward(H, omega),
+                                   reference_forward(U, lam, softmax(omega)),
                                    atol=1e-12)
 
     def test_backward_equivalence(self):
         rng = np.random.default_rng(13)
         H = random_spd(rng, 6)
-        params = MPFParams(rng.normal(size=11))
+        omega = rng.normal(size=11)
         w = rng.normal(size=g_dim(6))
         U, lam = normalized_spectrum(H)
-        np.testing.assert_allclose(q_backward(H, params, w),
-                                   reference_backward(U, lam, params.gamma(),
+        np.testing.assert_allclose(q_backward(H, omega, w),
+                                   reference_backward(U, lam, softmax(omega),
                                                       w),
                                    atol=1e-12)
 
@@ -315,13 +307,13 @@ class TestQFactorization:
 
 class TestFixedTransforms:
     def test_half_power(self):
-        out = fixed_transform(np.diag([4.0, 1.0]), "half_power")
+        out = fixed_transform(np.diag([4.0, 1.0]), "half_power", EPS)
         q = 17.0 ** 0.25
         np.testing.assert_allclose(out, [2.0 / q, 0.0, 1.0 / q], atol=1e-12)
 
     def test_l2_norm(self):
         H = np.array([[3.0, 1.0], [1.0, -2.0]])
-        out = fixed_transform(H, "l2_norm")
+        out = fixed_transform(H, "l2_norm", EPS)
         ref = np.array([3.0, 1.0, -2.0])
         np.testing.assert_allclose(out, ref / np.linalg.norm(ref),
                                    rtol=1e-15)
@@ -329,7 +321,7 @@ class TestFixedTransforms:
 
     def test_ssn(self):
         H = np.array([[4.0, -9.0], [-9.0, 1.0]])
-        out = fixed_transform(H, "ssn")
+        out = fixed_transform(H, "ssn", EPS)
         ref = np.array([2.0, -3.0, 1.0])
         np.testing.assert_allclose(out, ref / np.linalg.norm(ref),
                                    rtol=1e-14)
@@ -347,10 +339,10 @@ class TestFixedTransforms:
 
     def test_log_e_rejects_singular(self):
         with pytest.raises(DataError, match="zero eigenvalue"):
-            fixed_transform(np.diag([1.0, 0.0]), "log_e")
+            fixed_transform(np.diag([1.0, 0.0]), "log_e", EPS)
 
     def test_log_e_full_rank(self):
-        out = fixed_transform(np.diag([0.8, 0.6]), "log_e")
+        out = fixed_transform(np.diag([0.8, 0.6]), "log_e", EPS)
         np.testing.assert_allclose(out, [math.log(0.8), 0.0, math.log(0.6)],
                                    atol=1e-12)
 
@@ -359,13 +351,13 @@ class TestFixedTransforms:
         H = random_spd(rng, 4)
         R = random_rotation(rng, 4)
         for kind in ("log_reg", "log_max", "half_power"):
-            a = scatter_full(fixed_transform(H, kind), 4)
-            b = scatter_full(fixed_transform(R @ H @ R.T, kind), 4)
+            a = scatter_full(fixed_transform(H, kind, EPS), 4)
+            b = scatter_full(fixed_transform(R @ H @ R.T, kind, EPS), 4)
             np.testing.assert_allclose(b, R @ a @ R.T, atol=1e-9)
 
     def test_bad_kind_and_eps(self):
         with pytest.raises(DataError, match="unknown transform"):
-            fixed_transform(np.eye(2), "nope")
+            fixed_transform(np.eye(2), "nope", EPS)
         for kind in ("log_reg", "log_max"):
             with pytest.raises(DataError):
                 fixed_transform(np.eye(2), kind, eps=0.0)
