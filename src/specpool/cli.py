@@ -114,12 +114,15 @@ def cmd_make_splits(args):
                           "fraction:P, kfold:K or disjoint:P")
     try:
         param = int(raw) if kind == "kfold" else float(raw)
+        if not (param >= 2 if kind == "kfold" else 0.0 < param < 1.0):
+            raise ValueError(raw)
     except ValueError:
         raise _UsageError(f"bad {kind} parameter {raw!r} in scheme "
-                          f"{args.scheme!r}; use fraction:P, kfold:K or "
-                          "disjoint:P")
-    out = _out_dir(args)
+                          f"{args.scheme!r}; use fraction:P or disjoint:P "
+                          "with 0 < P < 1, or kfold:K with K >= 2")
+    # a split the data cannot support fails before --out exists
     result = splitters[kind](manifest, param, seed)
+    out = _out_dir(args)
     if kind == "kfold":
         for i, fold in enumerate(result):
             save_manifest(out / f"fold_{i}.tsv", _rebased(fold, out))

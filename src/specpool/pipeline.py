@@ -35,7 +35,7 @@ _HKS_DEFAULT_TIMES = 16
 # change alters what it stores: a record's key carries the versions of its
 # stage and of every stage it is computed from, so older records miss.
 CODE_VERSIONS = {"spectrum": 1, "cloud": 1, "descriptor": 1, "pooled": 1,
-                 "eig": 1}
+                 "eig": 2}
 
 
 @dataclass
@@ -46,8 +46,10 @@ class ShapeRecord:
     label: int
     o1: np.ndarray        # pooled first-order vector
     H: np.ndarray         # pooled second-order matrix
-    U: np.ndarray         # eigenvectors of H
-    lam: np.ndarray       # normalized eigenvalues of H
+    # the r normalized eigenvalues of H above spdm.ZERO_EIGENVALUE_TOL and
+    # their eigenvectors (d x r); the other d - r eigenvalues are exactly 0
+    U: np.ndarray
+    lam: np.ndarray
 
 
 def _descriptor_params(run):
@@ -139,7 +141,7 @@ def extract_shape(entry, manifest, run, cache):
     pool_rec = cached("pooled", dparams, compute_pooled)
 
     def compute_eig():
-        u, lam = spdm.normalized_spectrum(pool_rec["H"])
+        u, lam = spdm.nonzero_spectrum(pool_rec["H"])
         return {"U": u, "lam": lam}
 
     eig_rec = cached("eig", dparams, compute_eig)

@@ -23,7 +23,7 @@ logger = logging.getLogger(__name__)
 CACHE_ENV_VAR = "SPECPOOL_CACHE"
 
 # instrumentation: how many records were served from disk vs recomputed,
-# reset explicitly by tests and by the trainer's no-recompute assertion
+# reset by the CLI's extract command and by tests
 counters = {"hits": 0, "misses": 0, "stores": 0}
 
 

@@ -365,7 +365,7 @@ def toy_problem(n_shapes=8, dim=12, n_mix=10, n_classes=4, seed=11):
         cols = dim - 3 if i < 2 else dim
         a = rng.normal(size=(dim, cols))
         h = (a @ a.T) / dim
-        u, lam = spdm.normalized_spectrum(h)
+        u, lam = spdm.nonzero_spectrum(h)
         powers = lam[:, None] ** spdm.power_grid(n_mix)[None, :]
         q.append(spdm.mpf_q_matrix(u, powers))
         labels.append(i % n_classes)

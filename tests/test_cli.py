@@ -83,7 +83,10 @@ class TestSynthAndSplits:
         assert "unknown scheme" in capsys.readouterr().err
 
     @pytest.mark.parametrize("scheme", ["fraction:x", "kfold:", "kfold:1.5",
-                                        "disjoint:abc"])
+                                        "disjoint:abc", "fraction:1.5",
+                                        "fraction:0", "fraction:nan",
+                                        "disjoint:0", "disjoint:1", "kfold:1",
+                                        "kfold:-2"])
     def test_malformed_parameter(self, workspace, tmp_path, capsys, scheme):
         rc = main(["make-splits", "--manifest",
                    str(workspace["data"] / "manifest.tsv"),
@@ -92,6 +95,17 @@ class TestSynthAndSplits:
         err = capsys.readouterr().err
         assert err.startswith("usage error: bad ") and scheme in err
         assert not (tmp_path / "out").exists()
+
+    def test_unsupported_split_leaves_no_output(self, workspace, tmp_path,
+                                                capsys):
+        # 4 shapes per class cannot make 5 stratified folds
+        out = tmp_path / "out"
+        rc = main(["make-splits", "--manifest",
+                   str(workspace["data"] / "manifest.tsv"),
+                   "--scheme", "kfold:5", "--out", str(out)])
+        assert rc == 3
+        assert "smallest class size" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestExtract:

@@ -45,7 +45,14 @@ class TestExtraction:
         assert rec.H.shape == (d, d)
         assert np.array_equal(rec.H, rec.H.T)
         assert abs(np.linalg.norm(rec.lam) - 1.0) < 1e-12
-        assert np.max(np.abs(rec.U.T @ rec.U - np.eye(d))) < 1e-8
+        # only the eigenpairs above the round-off threshold are kept
+        r = len(rec.lam)
+        assert 1 <= r < d and rec.U.shape == (d, r)
+        assert np.all(rec.lam > spdm.ZERO_EIGENVALUE_TOL)
+        assert np.max(np.abs(rec.U.T @ rec.U - np.eye(r))) < 1e-8
+        assert np.allclose((rec.U * rec.lam) @ rec.U.T,
+                           rec.H / np.linalg.norm(np.linalg.eigvalsh(rec.H)),
+                           rtol=0, atol=1e-10)
 
     def test_cache_round_trip(self, bench, tmp_path):
         storage.reset_counters()
@@ -127,6 +134,32 @@ class TestExtraction:
                                           entries=entries)
         assert set(recs) == {bench.entries[0].shape_id}
         assert len(failures) == 1 and failures[0][0] == "broken"
+
+
+class TestLapackIndependence:
+    """Rows no longer depend on how an eigensolver resolves round-off."""
+
+    @pytest.mark.parametrize("descriptor, rtol", [("lsf", 1e-8),
+                                                  ("sihks_wks", 1e-4)])
+    def test_numpy_and_scipy_eigh_rows_agree(self, bench, tmp_path,
+                                              monkeypatch, descriptor, rtol):
+        cache = storage.ShapeCache(tmp_path)
+        run = run_config(descriptor=descriptor)
+        entry = bench.entries[-1]
+        recs = [extract_shape(entry, bench, run, cache)]
+        # recompute only the eig stage, with NumPy's eigh in eig_sym
+        monkeypatch.setitem(pipeline.CODE_VERSIONS, "eig",
+                            pipeline.CODE_VERSIONS["eig"] + 1)
+        monkeypatch.setattr(spdm.scipy.linalg, "eigh", np.linalg.eigh)
+        recs.append(extract_shape(entry, bench, run, cache))
+        assert np.array_equal(recs[0].H, recs[1].H)
+        alphas = spdm.power_grid(run.n_mix)
+        uniform = np.full(run.n_mix + 1, 1.0 / (run.n_mix + 1))
+        alpha_01 = np.eye(run.n_mix + 1)[1]
+        for gamma in (uniform, alpha_01):
+            a, b = (spdm.mpf_q_matrix(r.U, r.lam[:, None] ** alphas[None, :])
+                    @ gamma for r in recs)
+            assert np.linalg.norm(a - b) <= rtol * np.linalg.norm(a)
 
 
 class TestFeatureModes:

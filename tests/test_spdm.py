@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from specpool.errors import DataError
-from specpool.spdm import (FIXED_TRANSFORMS, eig_sym, fixed_transform,
-                           g_dim, g_vec, mpf_eval, mpf_q_matrix,
+from specpool.spdm import (FIXED_TRANSFORMS, ZERO_EIGENVALUE_TOL, eig_sym,
+                           fixed_transform, g_dim, g_vec, mpf_eval,
+                           mpf_q_matrix, nonzero_spectrum,
                            normalized_spectrum, power_grid, softmax,
                            softmax_backward)
 
@@ -303,6 +304,36 @@ class TestQFactorization:
         via_q = softmax_backward(gamma, unhalved_q(q_factor(H)).T @ w)
         direct = reference_backward(U, lam, gamma, w, offdiag=1.0)
         np.testing.assert_allclose(via_q, direct, atol=1e-12)
+
+
+class TestRankRevealingQ:
+    def test_rank_r_factor_equals_snapped_full_build(self):
+        # H of rank 4 in d = 9: the factor from the 4 nonzero eigenpairs
+        # equals the full build with the other 5 eigenvalues set to 0, whose
+        # null space adds g(I - U_r U_r^T) to the alpha = 0 column
+        rng = np.random.default_rng(16)
+        d, r = 9, 4
+        U, lam = normalized_spectrum(random_spd(rng, d, rank=r))
+        snapped = np.where(np.arange(d) < r, lam, 0.0)
+        powers = snapped[:, None] ** power_grid(10)[None, :]
+        full = mpf_q_matrix(U, powers)
+        q = mpf_q_matrix(U[:, :r], powers[:r])
+        assert np.linalg.norm(q - full) <= 1e-13 * np.linalg.norm(full)
+        assert np.array_equal(q[:, 0], g_vec(np.eye(d)))
+
+    def test_nonzero_spectrum_drops_roundoff(self):
+        rng = np.random.default_rng(17)
+        H = random_spd(rng, 9, rank=4)
+        U, lam = normalized_spectrum(H)
+        assert lam[4] <= ZERO_EIGENVALUE_TOL < lam[3]
+        U_r, lam_r = nonzero_spectrum(H)
+        assert np.array_equal(lam_r, lam[:4])
+        assert np.array_equal(U_r, U[:, :4])
+
+    def test_threshold_is_inclusive(self):
+        # the normalized spectra are exactly (1, 1e-12) and (1, 2e-12)
+        assert len(nonzero_spectrum(np.diag([1.0, 1e-12]))[1]) == 1
+        assert len(nonzero_spectrum(np.diag([1.0, 2e-12]))[1]) == 2
 
 
 class TestFixedTransforms:

@@ -285,6 +285,20 @@ class TestGradcheck:
         assert report.block_errors["omega[retr]"] >= 1e-5
         assert report.block_errors["omega[clf]"] >= 1e-5
 
+    def test_toy_problem_keeps_the_rank_of_deficient_shapes(self):
+        # shapes 0 and 1 have rank dim - 3: their alpha > 0 columns are built
+        # from those eigenpairs alone, not from round-off eigenvalues raised
+        # to a small power
+        dim = 12
+        features = toy_problem(dim=dim)
+        for i, q in enumerate(features.q):
+            m = np.zeros((dim, dim))
+            m[np.triu_indices(dim)] = q[:, 1]
+            m += np.triu(m, 1).T
+            rank = dim - 3 if i < 2 else dim
+            assert np.linalg.matrix_rank(m) == rank
+            assert np.array_equal(q[:, 0], spdm.g_vec(np.eye(dim)))
+
     def test_report_format(self):
         report = gradcheck()
         text = report.format()
