@@ -4,6 +4,12 @@ The stiffness matrix uses cotangent edge weights, the mass is the mixed
 Voronoi vertex area (circumcentric cells for non-obtuse triangles, the
 half/quarter midpoint split for obtuse ones). The spectrum solves the
 generalized problem L phi = lambda A phi for the smallest eigenvalues.
+
+Above ``DENSE_VERTEX_LIMIT`` vertices the sparse solve runs at unit area:
+L is dimensionless and lambda * area is scale-free (Reuter et al. 2006,
+"Shape-DNA"), so dividing the mass by the total area gives the
+shift-invert Lanczos solver the same problem at every mesh unit. The
+residual bound stays absolute and is checked on the original L and A.
 """
 
 from dataclasses import dataclass
@@ -140,9 +146,17 @@ def lb_spectrum(lap, mass, k):
     """Lowest ``k`` eigenpairs of L phi = lambda diag(mass) phi.
 
     Dense solve below DENSE_VERTEX_LIMIT vertices, shift-invert Lanczos
-    with a fixed start vector above. Eigenvalues at round-off level are
-    snapped to exactly 0 and eigenvector signs are fixed so the
-    largest-magnitude entry is positive.
+    with a fixed start vector above. The sparse solve works on the unit-area
+    problem L phi' = lambda' (mass / area) phi' and returns
+    lambda = lambda' / area and phi = phi' / sqrt(area), so its shift and
+    its convergence do not depend on the mesh unit.
+
+    The residual ||L phi - lambda M phi|| / ||M phi|| must stay below the
+    absolute bound 1e-6 on the original operator and mass. At tiny mesh
+    units (per-vertex area near 1e-9) that residual is round-off in
+    L phi - lambda M phi, which no solver lowers, so such meshes are
+    rejected. Eigenvalues at round-off level are snapped to exactly 0 and
+    eigenvector signs are fixed so the largest-magnitude entry is positive.
     """
     n = lap.shape[0]
     if k < 1 or k > n:
@@ -158,15 +172,17 @@ def lb_spectrum(lap, mass, k):
     else:
         # shift slightly negative: L itself is singular at 0
         v0 = np.full(n, 1.0 / np.sqrt(n))
+        area = mass.sum()
         try:
-            evals, evecs = eigsh(lap.tocsc(), k=k, M=sp.diags(mass).tocsc(),
+            evals, evecs = eigsh(lap.tocsc(), k=k,
+                                 M=sp.diags(mass / area).tocsc(),
                                  sigma=-0.01, which="LM", v0=v0)
         except ArpackNoConvergence as exc:
             raise DataError(f"eigensolver did not converge: "
                             f"{len(exc.eigenvalues)}/{k} pairs found")
         order = np.argsort(evals, kind="stable")
-        evals = evals[order]
-        evecs = evecs[:, order]
+        evals = evals[order] / area
+        evecs = evecs[:, order] / np.sqrt(area)
 
     resid = _max_residual(lap, mass, evals, evecs)
     if resid > 1e-6:

@@ -34,7 +34,7 @@ _HKS_DEFAULT_TIMES = 16
 # Version of the code behind each cache stage. Bump a stage's number when a
 # change alters what it stores: a record's key carries the versions of its
 # stage and of every stage it is computed from, so older records miss.
-CODE_VERSIONS = {"spectrum": 1, "cloud": 1, "descriptor": 1, "pooled": 1,
+CODE_VERSIONS = {"spectrum": 2, "cloud": 1, "descriptor": 1, "pooled": 1,
                  "eig": 2}
 
 

@@ -159,6 +159,24 @@ class TestSpectrum:
         np.testing.assert_allclose(sparse.eigenvalues, dense.eigenvalues,
                                    rtol=1e-8, atol=1e-10)
 
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 256.0, 1e4])
+    def test_sparse_path_is_scale_free(self, monkeypatch, scale):
+        # lambda * area does not depend on the mesh unit, so the sparse
+        # solve must reach the dense unit-scale values at every scale
+        unit = icosphere_mesh(3)
+        mass = voronoi_areas(unit)
+        dense = lb_spectrum(cotan_laplacian(unit), mass, 20)
+        expected = dense.eigenvalues * mass.sum()
+        monkeypatch.setattr(lb_operator, "DENSE_VERTEX_LIMIT", 10)
+        mesh = icosphere_mesh(3, scale)
+        mass = voronoi_areas(mesh)
+        sparse = lb_spectrum(cotan_laplacian(mesh), mass, 20)
+        got = sparse.eigenvalues * mass.sum()
+        assert np.abs(got - expected).max() <= 1e-12 * expected[-1]
+        gram = sparse.eigenfunctions.T @ (mass[:, None]
+                                          * sparse.eigenfunctions)
+        np.testing.assert_allclose(gram, np.eye(20), atol=1e-12)
+
     def test_k_out_of_range(self, tetra_mesh):
         lap = cotan_laplacian(tetra_mesh)
         mass = voronoi_areas(tetra_mesh)
