@@ -19,7 +19,7 @@ from . import descriptors, evaluation, lb_operator, metric, pooling, spdm, \
 from .errors import DataError, SpecpoolError
 from .rng import substream
 from .shape_io import (PointCloud, bounding_sphere_diameter, load_mesh,
-                       mesh_content_hash, sample_points)
+                       mesh_file_hash, sample_points)
 
 logger = logging.getLogger(__name__)
 
@@ -34,8 +34,10 @@ _HKS_DEFAULT_TIMES = 16
 # Version of the code behind each cache stage. Bump a stage's number when a
 # change alters what it stores: a record's key carries the versions of its
 # stage and of every stage it is computed from, so older records miss.
-CODE_VERSIONS = {"spectrum": 2, "cloud": 1, "descriptor": 1, "pooled": 1,
-                 "eig": 2}
+# Records are keyed on the mesh file's bytes, not on its parse, so "mesh"
+# heads every chain: bump it when parsing a file gives another mesh.
+CODE_VERSIONS = {"mesh": 1, "spectrum": 2, "cloud": 1, "descriptor": 1,
+                 "pooled": 1, "eig": 2}
 
 
 @dataclass
@@ -81,15 +83,20 @@ def _spectral_field(spectrum, run):
 def extract_shape(entry, manifest, run, cache):
     """Offline stages for one shape, each behind the cache.
 
-    A stage reads the record it is computed from only when its own record
-    misses, so a warm read opens just the ``pooled`` and ``eig`` records.
+    Every record is keyed on the digest of the mesh file's bytes
+    (``mesh_file_hash``). A stage reads the record it is computed from only
+    when its own record misses, and only the spectrum and cloud stages
+    parse the mesh, so a warm read hashes the file, never parses it, and
+    opens just the ``pooled`` and ``eig`` records. A file rewritten between
+    the hash and the parse inside one call has its records stored under
+    the old digest; no caller rewrites its inputs during a run.
     """
-    mesh = load_mesh(manifest.full_path(entry))
-    chash = mesh_content_hash(mesh)
+    path = manifest.full_path(entry)
+    chash = mesh_file_hash(path) if cache is not None else None
     dparams = _descriptor_params(run)
     spectral = run.descriptor in SPECTRAL_DESCRIPTORS
-    chain = ("spectrum" if spectral else "cloud", "descriptor", "pooled",
-             "eig")
+    chain = ("mesh", "spectrum" if spectral else "cloud", "descriptor",
+             "pooled", "eig")
 
     def cached(stage, params, compute):
         if cache is None:
@@ -100,13 +107,13 @@ def extract_shape(entry, manifest, run, cache):
                                     compute)
 
     def compute_spectrum():
-        spec = lb_operator.mesh_spectrum(mesh, run.k_eig)
+        spec = lb_operator.mesh_spectrum(load_mesh(path), run.k_eig)
         return {"eigenvalues": spec.eigenvalues,
                 "eigenfunctions": spec.eigenfunctions,
                 "mass": spec.mass}
 
     def compute_cloud():
-        cloud = sample_points(mesh, run.n_points,
+        cloud = sample_points(load_mesh(path), run.n_points,
                               substream(run.seed, "sample", entry.shape_id))
         return {"points": cloud.points, "normals": cloud.normals}
 

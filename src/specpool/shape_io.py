@@ -130,25 +130,39 @@ def bounding_sphere_diameter(points):
     return 2.0 * float(np.linalg.norm(points - center, axis=1).max())
 
 
-def mesh_content_hash(mesh):
-    """Stable hex digest of mesh geometry, used to key spectrum caches."""
-    h = hashlib.sha256()
-    h.update(b"v")
-    h.update(np.ascontiguousarray(mesh.vertices, dtype="<f8").tobytes())
-    h.update(b"f")
-    h.update(np.ascontiguousarray(mesh.faces, dtype="<i8").tobytes())
-    return h.hexdigest()
-
-
 # ---------------------------------------------------------------------------
 # mesh file parsing
+
+def _mesh_extension(path):
+    ext = path.suffix.lower()
+    if ext not in MESH_EXTENSIONS:
+        raise MeshFormatError(path, f"unsupported mesh extension {ext!r}")
+    return ext
+
+
+def mesh_file_hash(path):
+    """Hex sha256 of a mesh file's lowercased extension and bytes.
+
+    It keys the cache records computed from the file without parsing it.
+    The extension is part of the digest because the same bytes parse
+    differently as OFF, OBJ or PLY. A file ``load_mesh`` rejects before
+    parsing raises the same ``MeshFormatError`` here.
+    """
+    path = Path(path)
+    ext = _mesh_extension(path)
+    try:
+        data = path.read_bytes()
+    except OSError as exc:
+        raise MeshFormatError(path, f"cannot read file: {exc}")
+    h = hashlib.sha256(ext.encode("ascii") + b"\0")
+    h.update(data)
+    return h.hexdigest()
+
 
 def load_mesh(path):
     """Parse a mesh file (OFF, OBJ or ASCII PLY, by extension)."""
     path = Path(path)
-    ext = path.suffix.lower()
-    if ext not in MESH_EXTENSIONS:
-        raise MeshFormatError(path, f"unsupported mesh extension {ext!r}")
+    ext = _mesh_extension(path)
     try:
         text = path.read_text()
     except OSError as exc:

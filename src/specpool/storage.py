@@ -2,8 +2,8 @@
 
 Bundles are plain ``.npz`` archives written with a sorted key order so that
 identical inputs produce byte-identical files. The cache stores one record
-per (shape, stage, parameter-hash) triple; a corrupted record is treated as
-a miss and recomputed with a warning.
+per shape, stage, digest of the shape's mesh file and parameter hash; a
+corrupted record is treated as a miss and recomputed with a warning.
 """
 
 import hashlib
@@ -80,11 +80,12 @@ def _jsonable(obj):
 class ShapeCache:
     """On-disk cache of per-shape intermediates (spectra, descriptors, ...).
 
-    ``get_or_compute`` keys a record by shape id, stage name, the geometry
-    hash of the shape and a hash of the stage parameters, so stale records
-    are never served after the input or the configuration changes. The
-    pipeline puts its per-stage code versions among the parameters, so
-    records written by older code are not served either.
+    ``get_or_compute`` keys a record by shape id, stage name, a digest of
+    the shape's mesh file (``shape_io.mesh_file_hash``: its extension and
+    bytes) and a hash of the stage parameters, so stale records are never
+    served after the file or the configuration changes. The pipeline puts
+    its per-stage code versions, the parser's included, among the
+    parameters, so records written by older code are not served either.
     """
 
     def __init__(self, root):

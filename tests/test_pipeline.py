@@ -8,7 +8,7 @@ from specpool.pipeline import (ABLATIONS, TRAINED_ABLATIONS, build_features,
                                classification_eval, embeddings,
                                extract_manifest, extract_shape, feature_mode,
                                retrieval_eval)
-from specpool.shape_io import ManifestEntry
+from specpool.shape_io import ManifestEntry, TriMesh, load_mesh, save_mesh
 from specpool.synth import SynthSpec, generate
 from specpool.trainer import train
 
@@ -34,6 +34,20 @@ def records(bench):
     recs, failures = extract_manifest(bench, run_config(), cache=None)
     assert not failures
     return recs
+
+
+def copied_entry(bench, tmp_path):
+    """The first shape, with its mesh file copied to a path of its own."""
+    entry = bench.entries[0]
+    path = tmp_path / "mesh" / bench.full_path(entry).name
+    path.parent.mkdir()
+    path.write_bytes(bench.full_path(entry).read_bytes())
+    return ManifestEntry(entry.shape_id, str(path), entry.label,
+                         entry.split), path
+
+
+def no_parse(path):
+    raise AssertionError(f"parsed {path}")
 
 
 class TestExtraction:
@@ -89,7 +103,8 @@ class TestExtraction:
     @pytest.mark.parametrize("descriptor,upstream", [
         ("sihks_wks", "spectrum"), ("lsf", "cloud")])
     def test_warm_read_opens_only_pooled_and_eig(self, bench, tmp_path,
-                                                 descriptor, upstream):
+                                                 monkeypatch, descriptor,
+                                                 upstream):
         cache = storage.ShapeCache(tmp_path)
         entry = bench.entries[0]
         run = run_config(descriptor=descriptor, n_points=200)
@@ -98,14 +113,44 @@ class TestExtraction:
             (record,) = tmp_path.glob(f"{entry.shape_id}.{stage}.*.npz")
             record.unlink()
         storage.reset_counters()
-        warm = extract_shape(entry, bench, run, cache)
+        with monkeypatch.context() as m:
+            m.setattr(pipeline, "load_mesh", no_parse)
+            warm = extract_shape(entry, bench, run, cache)
         assert (storage.counters["hits"], storage.counters["misses"]) \
             == (2, 0)
         for name in ("H", "U", "lam"):
             assert np.array_equal(getattr(warm, name), getattr(cold, name))
 
+    def test_rewritten_file_is_never_served_stale(self, bench, tmp_path):
+        cache = storage.ShapeCache(tmp_path / "cache")
+        entry, path = copied_entry(bench, tmp_path)
+        before = extract_shape(entry, bench, run_config(), cache)
+        mesh = load_mesh(path)
+        save_mesh(path, TriMesh(mesh.vertices * [1.3, 1.0, 1.0], mesh.faces))
+        storage.reset_counters()
+        after = extract_shape(entry, bench, run_config(), cache)
+        assert storage.counters["misses"] == 4
+        assert not np.array_equal(after.H, before.H)
+
+    def test_resaved_geometry_misses_once_with_equal_records(self, bench,
+                                                             tmp_path):
+        cache = storage.ShapeCache(tmp_path / "cache")
+        entry, path = copied_entry(bench, tmp_path)
+        extract_shape(entry, bench, run_config(), cache)
+        path.write_text(path.read_text() + "# re-saved\n")
+        storage.reset_counters()
+        extract_shape(entry, bench, run_config(), cache)
+        extract_shape(entry, bench, run_config(), cache)
+        assert (storage.counters["misses"], storage.counters["hits"]) \
+            == (4, 2)
+        for stage in ("spectrum", "descriptor", "pooled", "eig"):
+            old, new = (p.read_bytes() for p in (tmp_path / "cache").glob(
+                f"{entry.shape_id}.{stage}.*.npz"))
+            assert old == new
+
     @pytest.mark.parametrize("stage,misses", [
-        ("spectrum", 4), ("descriptor", 3), ("pooled", 2), ("eig", 1)])
+        ("mesh", 4), ("spectrum", 4), ("descriptor", 3), ("pooled", 2),
+        ("eig", 1)])
     def test_code_version_bump_misses(self, bench, tmp_path, monkeypatch,
                                       stage, misses):
         # a stage's records, and those computed from them, miss
@@ -134,6 +179,18 @@ class TestExtraction:
                                           entries=entries)
         assert set(recs) == {bench.entries[0].shape_id}
         assert len(failures) == 1 and failures[0][0] == "broken"
+
+    @pytest.mark.parametrize("name,message", [
+        ("absent.off", "cannot read file"),
+        ("absent.stl", "unsupported mesh extension")])
+    def test_unreadable_file_fails_alike_with_and_without_cache(
+            self, bench, tmp_path, name, message):
+        entries = [ManifestEntry("absent", str(tmp_path / name), 0, "train")]
+        failures = [extract_manifest(bench, run_config(), cache,
+                                     entries=entries)[1]
+                    for cache in (None, storage.ShapeCache(tmp_path / "c"))]
+        assert failures[0] == failures[1]
+        assert message in failures[0][0][1]
 
 
 class TestLapackIndependence:

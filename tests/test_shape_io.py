@@ -4,7 +4,7 @@ import pytest
 from specpool.errors import DataError, ManifestError, MeshFormatError
 from specpool.shape_io import (DatasetManifest, ManifestEntry, PointCloud,
                                TriMesh, face_areas, face_unit_normals,
-                               load_manifest, load_mesh, mesh_content_hash,
+                               load_manifest, load_mesh, mesh_file_hash,
                                sample_points, save_manifest, save_mesh)
 
 OFF_TETRA = """OFF
@@ -151,14 +151,36 @@ class TestLoadMesh:
             assert not (tmp_path / f"t{ext}").exists()
 
 
-class TestContentHash:
-    def test_same_mesh_same_hash(self, tetra_mesh):
-        other = TriMesh(tetra_mesh.vertices.copy(), tetra_mesh.faces.copy())
-        assert mesh_content_hash(tetra_mesh) == mesh_content_hash(other)
+class TestFileHash:
+    def test_same_bytes_same_digest(self, tmp_path):
+        a, b = tmp_path / "a.off", tmp_path / "b.off"
+        a.write_text(OFF_TETRA)
+        b.write_text(OFF_TETRA)
+        assert mesh_file_hash(a) == mesh_file_hash(b)
 
-    def test_geometry_change_changes_hash(self, tetra_mesh):
-        moved = TriMesh(tetra_mesh.vertices + 1e-9, tetra_mesh.faces)
-        assert mesh_content_hash(tetra_mesh) != mesh_content_hash(moved)
+    def test_one_changed_byte_changes_digest(self, tmp_path):
+        p = tmp_path / "t.off"
+        p.write_text(OFF_TETRA)
+        before = mesh_file_hash(p)
+        p.write_text(OFF_TETRA.replace("-1 -1 1", "-1 -1 2"))
+        assert mesh_file_hash(p) != before
+
+    def test_extension_is_part_of_digest(self, tmp_path):
+        off, obj = tmp_path / "t.off", tmp_path / "t.obj"
+        off.write_text(OBJ_TRI)
+        obj.write_text(OBJ_TRI)
+        assert mesh_file_hash(off) != mesh_file_hash(obj)
+        upper = tmp_path / "u.OBJ"
+        upper.write_text(OBJ_TRI)
+        assert mesh_file_hash(upper) == mesh_file_hash(obj)
+
+    def test_missing_file_raises_like_load_mesh(self, tmp_path):
+        p = tmp_path / "absent.off"
+        with pytest.raises(MeshFormatError, match="cannot read file") as h:
+            mesh_file_hash(p)
+        with pytest.raises(MeshFormatError) as parse:
+            load_mesh(p)
+        assert str(h.value) == str(parse.value)
 
 
 class TestFaceGeometry:
