@@ -40,7 +40,9 @@ class _Parser(argparse.ArgumentParser):
 
 def _run_config(args):
     run = parse_config(args.config) if args.config else RunConfig()
-    return with_overrides(run, seed=args.seed)
+    # --transform (train and eval only) wins over the config file field
+    return with_overrides(run, seed=args.seed,
+                          transform=getattr(args, "transform", None))
 
 
 def _cache(args, required=False):
@@ -146,15 +148,9 @@ def cmd_extract(args):
     return EXIT_DATA if failures else EXIT_OK
 
 
-def _effective_transform(args, run):
-    # the command-line flag wins over the config file field
-    return args.transform if args.transform is not None \
-        else (run.transform or None)
-
-
 def cmd_train(args):
     run = _run_config(args)
-    mode = pipeline.feature_mode(args.ablation, _effective_transform(args, run))
+    mode = pipeline.feature_mode(args.ablation, run.transform)
     if args.ablation in ("surf_o1", "surf_o2"):
         raise _UsageError(f"ablation {args.ablation} has no trainable "
                           "parameters; use eval directly")
@@ -165,8 +161,7 @@ def cmd_train(args):
     n_classes = manifest.class_count if run.task == "classification" \
         else None
     out = _out_dir(args)
-    blocks, log, info = trainer.train(run, features, n_classes=n_classes,
-                                      checkpoint_dir=str(out))
+    blocks, log, info = trainer.train(run, features, n_classes=n_classes)
     meta = {"mode": mode, "task": run.task, "descriptor": run.descriptor,
             "d_in": features.dim, "d_m": run.d_m, "n_mix": run.n_mix,
             "config_digest": _config_digest(run)}
@@ -184,7 +179,7 @@ def cmd_train(args):
 
 def cmd_eval(args):
     run = _run_config(args)
-    mode = pipeline.feature_mode(args.ablation, _effective_transform(args, run))
+    mode = pipeline.feature_mode(args.ablation, run.transform)
     blocks = None
     if args.model:
         blocks, meta = metric.load_model(args.model)

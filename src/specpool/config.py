@@ -18,7 +18,7 @@ DESCRIPTORS = ("sihks_wks", "sihks", "wks", "hks", "lsf")
 _RANGES = ((("batch_size", "epochs", "d_m", "n_mix", "k_eig", "n_points",
              "neighbor_cap", "t_max_factor", "early_stop_patience"), 1, True),
            (("learning_rate", "lsf_radius_frac", "log_eps"), 0, False),
-           (("margin", "eta", "early_stop_tol", "checkpoint_every"), 0, True))
+           (("margin", "eta", "early_stop_tol"), 0, True))
 
 
 @dataclass
@@ -47,7 +47,6 @@ class RunConfig:
     t_max_factor: int = 10
     early_stop_patience: int = 20
     early_stop_tol: float = 1e-4
-    checkpoint_every: int = 0
     loss_variant: str = "bce"
     transform: str = ""
     log_eps: float = 1e-3

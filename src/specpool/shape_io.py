@@ -150,23 +150,30 @@ def mesh_file_hash(path):
     """
     path = Path(path)
     ext = _mesh_extension(path)
+    h = hashlib.sha256(ext.encode("ascii") + b"\0")
+    h.update(_read_bytes(path))
+    return h.hexdigest()
+
+
+def _read_bytes(path):
     try:
-        data = path.read_bytes()
+        return path.read_bytes()
     except OSError as exc:
         raise MeshFormatError(path, f"cannot read file: {exc}")
-    h = hashlib.sha256(ext.encode("ascii") + b"\0")
-    h.update(data)
-    return h.hexdigest()
 
 
 def load_mesh(path):
     """Parse a mesh file (OFF, OBJ or ASCII PLY, by extension)."""
     path = Path(path)
     ext = _mesh_extension(path)
+    data = _read_bytes(path)
     try:
-        text = path.read_text()
-    except OSError as exc:
-        raise MeshFormatError(path, f"cannot read file: {exc}")
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise MeshFormatError(
+            path, f"byte 0x{data[exc.start]:02x} at offset {exc.start} is "
+                  f"not UTF-8; mesh files are read as text",
+            data.count(b"\n", 0, exc.start) + 1)
     if ext == ".off":
         vertices, faces = _parse_off(path, text)
     elif ext == ".obj":

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import metric, spdm, storage
+from . import metric, spdm
 from .config import RunConfig
 from .errors import DataError
 from .rng import substream
@@ -245,37 +245,24 @@ def _epoch_batches(features, config, epoch):
             for i in range(0, len(perm), config.batch_size)]
 
 
-def train(config, features, checkpoint_dir=None, resume=None,
-          n_classes=None):
+def train(config, features, n_classes=None):
     """Run SGD and return (blocks, log rows, info).
 
     The log has one (epoch, mean_loss, wall_ms) row per epoch. Training
     stops early after ``early_stop_patience`` epochs without a relative
     loss improvement of ``early_stop_tol``. All epoch randomness is derived
-    from (seed, epoch), so resuming from a checkpoint reproduces the
-    uninterrupted trajectory exactly.
+    from (seed, epoch).
     """
     if config.task == "classification" and n_classes is None:
         n_classes = int(features.labels.max()) + 1
     if config.task == "retrieval":
         n_classes = None
 
-    if resume is not None:
-        blocks = {k: v.copy() for k, v in resume["blocks"].items()}
-        start_epoch = int(resume["epoch"]) + 1
-        best = float(resume.get("best_loss", np.inf))
-        stale = int(resume.get("stale", 0))
-        if start_epoch >= config.epochs:
-            raise DataError(f"checkpoint is at epoch {resume['epoch']}, the "
-                            f"last of {config.epochs} epochs; nothing to "
-                            f"resume")
-    else:
-        blocks = init_params(config, features, n_classes)
-        start_epoch, best, stale = 0, np.inf, 0
-
+    blocks = init_params(config, features, n_classes)
+    best, stale = np.inf, 0
     log = []
     stopped_early = False
-    for epoch in range(start_epoch, config.epochs):
+    for epoch in range(config.epochs):
         t0 = time.perf_counter()
         batches = _epoch_batches(features, config, epoch)
         total, units = 0.0, 0
@@ -294,33 +281,13 @@ def train(config, features, checkpoint_dir=None, resume=None,
             best, stale = mean_loss, 0
         else:
             stale += 1
-        if checkpoint_dir and config.checkpoint_every \
-                and (epoch + 1) % config.checkpoint_every == 0:
-            save_checkpoint(f"{checkpoint_dir}/checkpoint_{epoch:05d}.npz",
-                            blocks, epoch, best, stale, config.seed)
         if stale >= config.early_stop_patience:
             stopped_early = True
             break
 
-    info = {"epochs_run": len(log) + start_epoch, "final_loss": log[-1][1],
+    info = {"epochs_run": len(log), "final_loss": log[-1][1],
             "stopped_early": stopped_early}
     return blocks, log, info
-
-
-def save_checkpoint(path, blocks, epoch, best_loss, stale, seed):
-    arrays = {f"block_{k}": v for k, v in blocks.items()}
-    arrays.update(epoch=np.int64(epoch), best_loss=np.float64(best_loss),
-                  stale=np.int64(stale), seed=np.int64(seed))
-    storage.save_bundle(path, arrays)
-
-
-def load_checkpoint(path):
-    arrays = storage.load_bundle(path)
-    blocks = {k[len("block_"):]: arrays[k] for k in arrays
-              if k.startswith("block_")}
-    return {"blocks": blocks, "epoch": int(arrays["epoch"]),
-            "best_loss": float(arrays["best_loss"]),
-            "stale": int(arrays["stale"]), "seed": int(arrays["seed"])}
 
 
 # ---------------------------------------------------------------------------

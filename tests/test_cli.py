@@ -1,3 +1,5 @@
+import shutil
+
 import numpy as np
 import pytest
 
@@ -140,6 +142,22 @@ class TestExtract:
         assert main(args) == 0
         assert ", 1 computed)" in capsys.readouterr().out
 
+    def test_non_utf8_mesh_fails_that_shape(self, workspace, tmp_path,
+                                            capsys):
+        data = tmp_path / "data"
+        shutil.copytree(workspace["data"], data)
+        manifest = load_manifest(data / "manifest.tsv")
+        entry = manifest.entries[0]
+        mesh = manifest.full_path(entry)
+        mesh.write_bytes(mesh.read_bytes() + b"# \xff\xfe\n")
+        rc = main(["extract", "--manifest", str(data / "manifest.tsv"),
+                   "--config", str(workspace["cfg"]),
+                   "--cache", str(tmp_path / "cache")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert f"FAILED {entry.shape_id}: " in err
+        assert "not UTF-8" in err and "Traceback" not in err
+
 
 @pytest.fixture(scope="module")
 def trained(workspace):
@@ -160,7 +178,7 @@ OUT_OF_RANGE = ("transform = log_banana", "learning_rate = 0",
                 "neighbor_cap = 0", "t_max_factor = 0",
                 "early_stop_patience = 0", "lsf_radius_frac = 0",
                 "log_eps = 0", "margin = -1", "eta = -0.5",
-                "early_stop_tol = -1e-4", "checkpoint_every = -1")
+                "early_stop_tol = -1e-4")
 BASE_CONFIG = {"k_eig": "20", "d_m": "8"}
 
 
@@ -181,6 +199,34 @@ class TestConfigValues:
                    "--out", str(tmp_path / "out"), *model])
         assert rc == 1
         assert "config error" in capsys.readouterr().err
+        assert not cache.exists() or not any(cache.iterdir())
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_bad_transform_flag_rejected_before_extraction(
+            self, workspace, trained, tmp_path, capsys, command):
+        cache = tmp_path / "cache"
+        model = ["--model", str(trained / "model.npz")] \
+            if command == "eval" else []
+        rc = main([command, "--manifest", str(workspace["split"]),
+                   "--config", str(workspace["cfg"]), "--cache", str(cache),
+                   "--transform", "log_banana",
+                   "--out", str(tmp_path / "out"), *model])
+        assert rc == 1
+        assert "config error: unknown transform 'log_banana'" \
+            in capsys.readouterr().err
+        assert not cache.exists() or not any(cache.iterdir())
+
+    def test_checkpoint_every_is_an_unknown_key(self, workspace, tmp_path,
+                                                capsys):
+        cfg = tmp_path / "old.cfg"
+        cfg.write_text(workspace["cfg"].read_text()
+                       + "checkpoint_every = 5\n")
+        cache = tmp_path / "cache"
+        rc = main(["train", "--manifest", str(workspace["split"]),
+                   "--config", str(cfg), "--cache", str(cache),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert "unknown key 'checkpoint_every'" in capsys.readouterr().err
         assert not cache.exists() or not any(cache.iterdir())
 
 
@@ -254,6 +300,17 @@ class TestEval:
         assert rc == 0
         report = (tmp_path / "report.tsv").read_text()
         assert "fixed:half_power" in report
+
+    def test_transform_flag_wins_over_config(self, workspace, tmp_path):
+        cfg = tmp_path / "log.cfg"
+        cfg.write_text(workspace["cfg"].read_text()
+                       + "transform = log_reg\n")
+        rc = main(["eval", "--manifest", str(workspace["split"]),
+                   "--config", str(cfg), "--cache", str(workspace["cache"]),
+                   "--transform", "half_power", "--out", str(tmp_path)])
+        assert rc == 0
+        report = (tmp_path / "report.tsv").read_text()
+        assert "fixed:half_power" in report and "log_reg" not in report
 
     def test_mode_mismatch(self, workspace, trained, tmp_path, capsys):
         rc = main(["eval", "--manifest", str(workspace["split"]),

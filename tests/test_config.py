@@ -49,7 +49,7 @@ class TestDefaults:
         ("neighbor_cap", 1, 0), ("t_max_factor", 1, 0),
         ("early_stop_patience", 1, 0), ("lsf_radius_frac", 1e-9, 0.0),
         ("log_eps", 1e-12, 0.0), ("margin", 0.0, -1e-9), ("eta", 0.0, -1.0),
-        ("early_stop_tol", 0.0, -1e-4), ("checkpoint_every", 0, -1),
+        ("early_stop_tol", 0.0, -1e-4),
         ("lsf_radius_frac", 1e-9, float("nan")),
     ])
     def test_ranges(self, name, edge, outside):

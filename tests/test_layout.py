@@ -13,14 +13,6 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "specpool"
 
-ALLOWED = {
-    # train(resume=...) reads what it returns, and `specpool train` writes
-    # checkpoints, but no command resumes from one yet: whether to add a
-    # resume flag or to drop resuming is still open
-    "load_checkpoint",
-}
-
-
 def public_definitions():
     """(module name, name, first line, last line) of each public def."""
     for path in sorted(SRC.glob("*.py")):
@@ -56,12 +48,6 @@ def unreferenced():
 
 
 def test_every_public_definition_is_used_by_the_package():
-    unused = [n for n in unreferenced() if n.split(".")[1] not in ALLOWED]
+    unused = unreferenced()
     assert unused == [], f"defined in src/specpool/ but used only " \
                          f"outside it: {unused}"
-
-
-def test_allowlist_is_current():
-    # an allowed name that the package has started to use, or that is
-    # gone, no longer needs its entry
-    assert {n.split(".")[1] for n in unreferenced()} >= ALLOWED

@@ -180,6 +180,16 @@ class TestExtraction:
         assert set(recs) == {bench.entries[0].shape_id}
         assert len(failures) == 1 and failures[0][0] == "broken"
 
+    def test_non_utf8_file_is_a_per_shape_failure(self, bench, tmp_path):
+        entry, path = copied_entry(bench, tmp_path)
+        path.write_bytes(path.read_bytes() + b"# \xff\xfe\n")
+        entries = [entry, bench.entries[1]]
+        recs, failures = extract_manifest(bench, run_config(), None,
+                                          entries=entries)
+        assert set(recs) == {bench.entries[1].shape_id}
+        assert [f[0] for f in failures] == [entry.shape_id]
+        assert "is not UTF-8" in failures[0][1]
+
     @pytest.mark.parametrize("name,message", [
         ("absent.off", "cannot read file"),
         ("absent.stl", "unsupported mesh extension")])

@@ -102,6 +102,35 @@ class TestLoadMesh:
             load_mesh(p)
         assert "bad.off" in str(err.value)
 
+    def test_non_utf8_off_comment_is_a_format_error(self, tmp_path):
+        p = tmp_path / "latin.off"
+        p.write_bytes(OFF_TETRA.encode() + b"# \xff\xfe\n")
+        offset = len(OFF_TETRA) + 2
+        line = OFF_TETRA.count("\n") + 1
+        with pytest.raises(MeshFormatError,
+                           match=f"latin.off:{line}: byte 0xff at offset "
+                                 f"{offset} is not UTF-8"):
+            load_mesh(p)
+
+    def test_binary_ply_is_a_format_error(self, tmp_path):
+        p = tmp_path / "bin.ply"
+        header = (b"ply\nformat binary_little_endian 1.0\n"
+                  b"element vertex 3\nproperty float x\nproperty float y\n"
+                  b"property float z\nend_header\n")
+        p.write_bytes(header + np.array([-1.0, 0.5, 2.0], "<f4").tobytes())
+        with pytest.raises(MeshFormatError,
+                           match=f"byte 0x80 at offset {len(header) + 2} "):
+            load_mesh(p)
+
+    def test_crlf_and_utf8_comment_parse_like_plain_text(self, tmp_path):
+        plain, other = tmp_path / "plain.off", tmp_path / "other.off"
+        plain.write_text(OFF_TETRA)
+        other.write_bytes(("# caf\u00e9\n" + OFF_TETRA)
+                          .replace("\n", "\r\n").encode("utf-8"))
+        a, b = load_mesh(plain), load_mesh(other)
+        assert np.array_equal(a.vertices, b.vertices)
+        assert np.array_equal(a.faces, b.faces)
+
     def test_unknown_extension(self, tmp_path):
         p = tmp_path / "t.stl"
         p.write_text("solid\n")

@@ -7,8 +7,8 @@ from specpool import metric, spdm
 from specpool.config import RunConfig
 from specpool.errors import DataError
 from specpool.trainer import (FeatureSet, build_triplets, gradcheck,
-                              init_params, load_checkpoint, save_checkpoint,
-                              sgd_step, toy_problem, train, triplet_count)
+                              init_params, sgd_step, toy_problem, train,
+                              triplet_count)
 
 
 def static_features(rng, n_per_class, n_classes, dim):
@@ -199,35 +199,6 @@ class TestTrain:
         cfg = classification_config(epochs=2, d_m=3, seed=0)
         blocks, _, _ = train(cfg, feats)
         assert blocks["C"].shape[0] == 4
-
-    def test_checkpoint_resume_bit_identical(self, tmp_path):
-        rng = np.random.default_rng(7)
-        feats = static_features(rng, 3, 2, 6)
-        cfg = self.small_config(epochs=6, checkpoint_every=3)
-        full, full_log, _ = train(cfg, feats, checkpoint_dir=str(tmp_path))
-
-        state = load_checkpoint(tmp_path / "checkpoint_00002.npz")
-        assert state["epoch"] == 2 and state["seed"] == cfg.seed
-        resumed, res_log, _ = train(cfg, feats, resume=state)
-        assert all(np.array_equal(full[k], resumed[k]) for k in full)
-        assert [r[:2] for r in full_log[3:]] == [r[:2] for r in res_log]
-
-    def test_resume_from_last_epoch_names_it(self, tmp_path):
-        rng = np.random.default_rng(7)
-        feats = static_features(rng, 3, 2, 6)
-        cfg = self.small_config(epochs=3, checkpoint_every=1)
-        train(cfg, feats, checkpoint_dir=str(tmp_path))
-        state = load_checkpoint(tmp_path / "checkpoint_00002.npz")
-        with pytest.raises(DataError, match="epoch 2"):
-            train(cfg, feats, resume=state)
-
-    def test_checkpoint_round_trip(self, tmp_path):
-        blocks = {"W": np.arange(6.0).reshape(2, 3)}
-        save_checkpoint(tmp_path / "c.npz", blocks, 7, 0.25, 2, 9)
-        state = load_checkpoint(tmp_path / "c.npz")
-        assert np.array_equal(state["blocks"]["W"], blocks["W"])
-        assert (state["epoch"], state["best_loss"], state["stale"],
-                state["seed"]) == (7, 0.25, 2, 9)
 
 
 class TestFeatureSet:
