@@ -15,8 +15,10 @@ from .spdm import FIXED_TRANSFORMS
 DESCRIPTORS = ("sihks_wks", "sihks", "wks", "hks", "lsf")
 
 # numeric ranges: (fields, lowest bound, whether the bound itself is allowed)
-_RANGES = ((("batch_size", "epochs", "d_m", "n_mix", "k_eig", "n_points",
+_RANGES = ((("batch_size", "epochs", "d_m", "n_mix", "n_points",
              "neighbor_cap", "t_max_factor", "early_stop_patience"), 1, True),
+           # every spectral descriptor needs a mode besides the constant one
+           (("k_eig",), 2, True),
            (("learning_rate", "lsf_radius_frac", "log_eps"), 0, False),
            (("margin", "eta", "early_stop_tol"), 0, True))
 

@@ -44,10 +44,6 @@ class DescriptorField:
             raise DataError(f"non-finite {self.kind} descriptor values")
 
     @property
-    def dim(self):
-        return self.values.shape[1]
-
-    @property
     def n_points(self):
         return self.values.shape[0]
 
@@ -134,14 +130,15 @@ def wks(spectrum, params=None):
     """Wave kernel signature over a log-eigenvalue energy grid.
 
     WKS(s, e) = C_e sum_k phi_k(s)^2 exp(-(e - log lambda_k)^2 / (2 sigma^2))
-    with C_e normalizing each energy's weights to sum 1. Near-zero
-    eigenvalues (the constant mode) are excluded from the sum.
+    with C_e normalizing each energy's weights to sum 1. Zero eigenvalues
+    (the constant mode, which ``lb_spectrum`` sets to exactly 0) are
+    excluded from the sum.
     """
     params = params or WKSParams()
     lam = spectrum.eigenvalues
     if lam[-1] <= 0.0:
         raise DataError("all eigenvalues zero: wave signature undefined")
-    pos = lam > lam[-1] * 1e-12
+    pos = lam > 0.0
     loglam = np.log(lam[pos])
     phi2 = spectrum.eigenfunctions[:, pos] ** 2
 

@@ -3,25 +3,26 @@
 The stiffness matrix uses cotangent edge weights, the mass is the mixed
 Voronoi vertex area (circumcentric cells for non-obtuse triangles, the
 half/quarter midpoint split for obtuse ones). The spectrum solves the
-generalized problem L phi = lambda A phi for the smallest eigenvalues.
+generalized problem L phi = lambda A phi for the smallest eigenvalues
+with one solver, shift-invert Lanczos (Vallet & Levy 2008, "Manifold
+Harmonics"), at every mesh size.
 
-Above ``DENSE_VERTEX_LIMIT`` vertices the sparse solve runs at unit area:
-L is dimensionless and lambda * area is scale-free (Reuter et al. 2006,
-"Shape-DNA"), so dividing the mass by the total area gives the
-shift-invert Lanczos solver the same problem at every mesh unit. The
+The solve runs at unit area: L is dimensionless and lambda * area is
+scale-free (Reuter et al. 2006, "Shape-DNA"), so dividing the mass by the
+total area gives the solver the same problem at every mesh unit. The
 residual bound stays absolute and is checked on the original L and A.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.csgraph as csgraph
 from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
 from .errors import DataError
 
+# kept only because perfbench/tracing.py reads it to name lb_spectrum spans
 DENSE_VERTEX_LIMIT = 4000
 
 # eigenvalues at or below this fraction of the largest one are the zero
@@ -36,10 +37,6 @@ class LBSpectrum:
     eigenvalues: np.ndarray   # (k,) non-negative ascending
     eigenfunctions: np.ndarray  # (n, k), columns mass-orthonormal
     mass: np.ndarray          # (n,) positive Voronoi areas
-
-    @property
-    def n_points(self):
-        return len(self.mass)
 
 
 def _corner_cotangents(vertices, faces):
@@ -143,13 +140,13 @@ def mesh_component_count(mesh):
 
 
 def lb_spectrum(lap, mass, k):
-    """Lowest ``k`` eigenpairs of L phi = lambda diag(mass) phi.
+    """Lowest ``k`` eigenpairs of L phi = lambda diag(mass) phi, 1 <= k < n.
 
-    Dense solve below DENSE_VERTEX_LIMIT vertices, shift-invert Lanczos
-    with a fixed start vector above. The sparse solve works on the unit-area
-    problem L phi' = lambda' (mass / area) phi' and returns
+    Shift-invert Lanczos with a fixed start vector on the unit-area
+    problem L phi' = lambda' (mass / area) phi'; it returns
     lambda = lambda' / area and phi = phi' / sqrt(area), so its shift and
-    its convergence do not depend on the mesh unit.
+    its convergence do not depend on the mesh unit. Lanczos cannot return
+    all n pairs, hence k < n.
 
     The residual ||L phi - lambda M phi|| / ||M phi|| must stay below the
     absolute bound 1e-6 on the original operator and mass. At tiny mesh
@@ -159,30 +156,26 @@ def lb_spectrum(lap, mass, k):
     eigenvector signs are fixed so the largest-magnitude entry is positive.
     """
     n = lap.shape[0]
-    if k < 1 or k > n:
-        raise DataError(f"need 1 <= k <= {n}, got {k}")
+    if k < 1 or k >= n:
+        raise DataError(f"need 1 <= k < {n} (the vertex count), got {k}")
     ncomp = csgraph.connected_components(abs(lap), directed=False,
                                          return_labels=False)
     if ncomp != 1:
         raise DataError(f"mesh has {ncomp} connected components; expected 1")
 
-    if n <= DENSE_VERTEX_LIMIT:
-        evals, evecs = scipy.linalg.eigh(lap.toarray(), np.diag(mass),
-                                         subset_by_index=(0, k - 1))
-    else:
-        # shift slightly negative: L itself is singular at 0
-        v0 = np.full(n, 1.0 / np.sqrt(n))
-        area = mass.sum()
-        try:
-            evals, evecs = eigsh(lap.tocsc(), k=k,
-                                 M=sp.diags(mass / area).tocsc(),
-                                 sigma=-0.01, which="LM", v0=v0)
-        except ArpackNoConvergence as exc:
-            raise DataError(f"eigensolver did not converge: "
-                            f"{len(exc.eigenvalues)}/{k} pairs found")
-        order = np.argsort(evals, kind="stable")
-        evals = evals[order] / area
-        evecs = evecs[:, order] / np.sqrt(area)
+    # shift slightly negative: L itself is singular at 0
+    v0 = np.full(n, 1.0 / np.sqrt(n))
+    area = mass.sum()
+    try:
+        evals, evecs = eigsh(lap.tocsc(), k=k,
+                             M=sp.diags(mass / area).tocsc(),
+                             sigma=-0.01, which="LM", v0=v0)
+    except ArpackNoConvergence as exc:
+        raise DataError(f"eigensolver did not converge: "
+                        f"{len(exc.eigenvalues)}/{k} pairs found")
+    order = np.argsort(evals, kind="stable")
+    evals = evals[order] / area
+    evecs = evecs[:, order] / np.sqrt(area)
 
     resid = _max_residual(lap, mass, evals, evecs)
     if resid > 1e-6:
@@ -209,10 +202,13 @@ def _max_residual(lap, mass, evals, evecs):
 
 
 def mesh_spectrum(mesh, k):
-    """Build operator and mass for ``mesh``; return its lowest k modes."""
+    """Build operator and mass for ``mesh``; return its lowest modes.
+
+    That is k modes, or n - 1 on a mesh of n <= k vertices.
+    """
     ncomp = mesh_component_count(mesh)
     if ncomp != 1:
         raise DataError(f"mesh has {ncomp} connected components; expected 1")
     lap = cotan_laplacian(mesh)
     mass = voronoi_areas(mesh)
-    return lb_spectrum(lap, mass, min(k, mesh.n_vertices))
+    return lb_spectrum(lap, mass, min(k, mesh.n_vertices - 1))

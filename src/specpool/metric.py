@@ -51,10 +51,6 @@ class EmbeddingParams:
         return cls(blocks["W"], blocks.get("C"), blocks.get("bias"))
 
     @property
-    def d_embed(self):
-        return self.W.shape[0]
-
-    @property
     def d_in(self):
         return self.W.shape[1]
 

@@ -36,7 +36,7 @@ _HKS_DEFAULT_TIMES = 16
 # stage and of every stage it is computed from, so older records miss.
 # Records are keyed on the mesh file's bytes, not on its parse, so "mesh"
 # heads every chain: bump it when parsing a file gives another mesh.
-CODE_VERSIONS = {"mesh": 1, "spectrum": 2, "cloud": 1, "descriptor": 1,
+CODE_VERSIONS = {"mesh": 1, "spectrum": 3, "cloud": 1, "descriptor": 1,
                  "pooled": 1, "eig": 2}
 
 

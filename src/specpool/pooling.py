@@ -46,10 +46,6 @@ class PooledSPD:
         if not np.all(np.isfinite(self.H)):
             raise DataError("non-finite entries in pooled matrix")
 
-    @property
-    def dim(self):
-        return self.H.shape[0]
-
 
 def mesh_weights(mass):
     """Area weights pi(s) = a(s) / sum a(p)."""

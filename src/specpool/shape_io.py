@@ -48,10 +48,6 @@ class TriMesh:
     def n_vertices(self):
         return len(self.vertices)
 
-    @property
-    def n_faces(self):
-        return len(self.faces)
-
 
 @dataclass
 class PointCloud:
@@ -72,10 +68,6 @@ class PointCloud:
         norms = np.linalg.norm(self.normals, axis=1)
         if np.any(np.abs(norms - 1.0) > 1e-6):
             raise DataError("normals must have unit length within 1e-6")
-
-    @property
-    def n_points(self):
-        return len(self.points)
 
 
 @dataclass
@@ -99,9 +91,6 @@ class DatasetManifest:
 
     def subset(self, split):
         return [e for e in self.entries if e.split == split]
-
-    def labels(self):
-        return np.array([e.label for e in self.entries], dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------

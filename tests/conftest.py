@@ -2,6 +2,7 @@ import contextlib
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.spatial import cKDTree
 
 from specpool.descriptors import DescriptorField
@@ -134,6 +135,18 @@ def unhalved_scatter(monkeypatch):
                       _unhalved_pull_gamma_grad)
             yield
     return inject
+
+
+def dense_lb_spectrum(lap, mass, k):
+    """Lowest ``k`` eigenpairs of L phi = lambda diag(mass) phi, dense.
+
+    The generalized LAPACK solve on the full matrices, at the mesh's own
+    unit: the reference that ``lb_operator.lb_spectrum``'s shift-invert
+    solve is checked against. Returns (eigenvalues, eigenvectors) as
+    LAPACK gives them, with no zero snap and no sign fix.
+    """
+    return scipy.linalg.eigh(lap.toarray(), np.diag(mass),
+                             subset_by_index=(0, k - 1))
 
 
 def loo_nn_accuracy(embeddings, labels):

@@ -142,6 +142,20 @@ class TestExtract:
         assert main(args) == 0
         assert ", 1 computed)" in capsys.readouterr().out
 
+    def test_single_mode_is_a_config_error(self, workspace, tmp_path,
+                                           capsys):
+        # every spectral descriptor needs a mode besides the constant one
+        cfg = tmp_path / "hks.cfg"
+        cfg.write_text("descriptor = hks\nk_eig = 1\n")
+        cache = tmp_path / "cache"
+        rc = main(["extract", "--manifest", str(workspace["split"]),
+                   "--config", str(cfg), "--cache", str(cache)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert "k_eig must be >= 2, got 1" in err
+        assert not cache.exists() or not any(cache.iterdir())
+
     def test_non_utf8_mesh_fails_that_shape(self, workspace, tmp_path,
                                             capsys):
         data = tmp_path / "data"
@@ -174,8 +188,8 @@ def trained(workspace):
 # line replaces the base config's line for the same key
 OUT_OF_RANGE = ("transform = log_banana", "learning_rate = 0",
                 "batch_size = 0", "epochs = 0", "loss_variant = hinge",
-                "d_m = 0", "n_mix = 0", "k_eig = 0", "n_points = 0",
-                "neighbor_cap = 0", "t_max_factor = 0",
+                "d_m = 0", "n_mix = 0", "k_eig = 0", "k_eig = 1",
+                "n_points = 0", "neighbor_cap = 0", "t_max_factor = 0",
                 "early_stop_patience = 0", "lsf_radius_frac = 0",
                 "log_eps = 0", "margin = -1", "eta = -0.5",
                 "early_stop_tol = -1e-4")

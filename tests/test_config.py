@@ -45,7 +45,7 @@ class TestDefaults:
         assert RunConfig(transform="half_power").transform == "half_power"
 
     @pytest.mark.parametrize("name, edge, outside", [
-        ("d_m", 1, 0), ("n_mix", 1, 0), ("k_eig", 1, 0), ("n_points", 1, 0),
+        ("d_m", 1, 0), ("n_mix", 1, 0), ("k_eig", 2, 1), ("n_points", 1, 0),
         ("neighbor_cap", 1, 0), ("t_max_factor", 1, 0),
         ("early_stop_patience", 1, 0), ("lsf_radius_frac", 1e-9, 0.0),
         ("log_eps", 1e-12, 0.0), ("margin", 0.0, -1e-9), ("eta", 0.0, -1.0),

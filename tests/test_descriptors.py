@@ -162,14 +162,15 @@ class TestWKS:
     def test_rows_are_convex_weights(self, sphere_spectrum):
         # each energy column is a weighted average of phi^2 columns
         out = wks(sphere_spectrum).values
-        assert out.shape == (sphere_spectrum.n_points, 100)
+        assert out.shape == (len(sphere_spectrum.mass), 100)
         phi2 = sphere_spectrum.eigenfunctions ** 2
         assert np.all(out <= phi2.max(axis=1, keepdims=True) + 1e-15)
         assert np.all(out >= 0.0)
 
     def test_constant_mode_excluded(self):
-        # the near-zero eigenvalue must not leak into the energy grid
-        spec = make_spectrum([1e-18, 1.0, 4.0],
+        # lb_spectrum returns the constant mode's eigenvalue as exactly 0;
+        # it must not leak into the energy grid
+        spec = make_spectrum([0.0, 1.0, 4.0],
                              [[5.0, 1.0, 0.0], [5.0, 0.0, 1.0]])
         out = wks(spec, WKSParams(dim=4)).values
         assert np.all(out <= 1.0 + 1e-12)

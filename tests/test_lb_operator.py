@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
 
-from specpool import lb_operator, synth
+from specpool import synth
 from specpool.errors import DataError
 from specpool.lb_operator import (cotan_laplacian, lb_spectrum,
                                   mesh_component_count, mesh_spectrum,
                                   voronoi_areas)
 from specpool.shape_io import TriMesh, face_areas
 
-from conftest import random_rotation
+from conftest import dense_lb_spectrum, random_rotation
 
 
 def icosphere_mesh(level, scale=1.0):
@@ -93,8 +93,8 @@ class TestCotanLaplacian:
 
 class TestSpectrum:
     def test_first_pair_is_constant_mode(self, tetra_mesh):
-        spec = mesh_spectrum(tetra_mesh, 4)
-        assert spec.eigenvalues[0] <= 1e-8 * spec.eigenvalues[-1]
+        spec = mesh_spectrum(tetra_mesh, 3)
+        assert spec.eigenvalues[0] == 0.0 < spec.eigenvalues[1]
         phi1 = spec.eigenfunctions[:, 0]
         assert np.ptp(phi1) < 1e-8 * np.abs(phi1).max()
 
@@ -149,25 +149,31 @@ class TestSpectrum:
             col = a.eigenfunctions[:, j]
             assert col[np.argmax(np.abs(col))] > 0
 
-    def test_sparse_path_matches_dense(self, monkeypatch):
-        mesh = icosphere_mesh(2)
-        lap = cotan_laplacian(mesh)
-        mass = voronoi_areas(mesh)
-        dense = lb_spectrum(lap, mass, 15)
-        monkeypatch.setattr(lb_operator, "DENSE_VERTEX_LIMIT", 10)
-        sparse = lb_spectrum(lap, mass, 15)
-        np.testing.assert_allclose(sparse.eigenvalues, dense.eigenvalues,
-                                   rtol=1e-8, atol=1e-10)
+    def test_sparse_path_matches_dense(self):
+        # the shift-invert solve against the dense generalized reference on
+        # the synth meshes' vertex counts: 162, 642, 1519 and 2562
+        meshes = [icosphere_mesh(2), icosphere_mesh(3),
+                  TriMesh(*synth.torus_mesh(49, 31)), icosphere_mesh(4)]
+        for mesh in meshes:
+            lap = cotan_laplacian(mesh)
+            mass = voronoi_areas(mesh)
+            spec = lb_spectrum(lap, mass, 100)
+            expected, _ = dense_lb_spectrum(lap, mass, 100)
+            err = np.abs(spec.eigenvalues - expected).max()
+            assert err <= 1e-12 * expected[-1], mesh.n_vertices
+            gram = spec.eigenfunctions.T @ (mass[:, None]
+                                            * spec.eigenfunctions)
+            np.testing.assert_allclose(gram, np.eye(100), rtol=0,
+                                       atol=1e-12, err_msg=str(mesh.n_vertices))
 
     @pytest.mark.parametrize("scale", [1e-3, 1.0, 256.0, 1e4])
-    def test_sparse_path_is_scale_free(self, monkeypatch, scale):
-        # lambda * area does not depend on the mesh unit, so the sparse
-        # solve must reach the dense unit-scale values at every scale
+    def test_sparse_path_is_scale_free(self, scale):
+        # lambda * area does not depend on the mesh unit, so the solve must
+        # reach the dense reference at unit scale from every scale
         unit = icosphere_mesh(3)
         mass = voronoi_areas(unit)
-        dense = lb_spectrum(cotan_laplacian(unit), mass, 20)
-        expected = dense.eigenvalues * mass.sum()
-        monkeypatch.setattr(lb_operator, "DENSE_VERTEX_LIMIT", 10)
+        dense, _ = dense_lb_spectrum(cotan_laplacian(unit), mass, 20)
+        expected = dense * mass.sum()
         mesh = icosphere_mesh(3, scale)
         mass = voronoi_areas(mesh)
         sparse = lb_spectrum(cotan_laplacian(mesh), mass, 20)
@@ -175,15 +181,21 @@ class TestSpectrum:
         assert np.abs(got - expected).max() <= 1e-12 * expected[-1]
         gram = sparse.eigenfunctions.T @ (mass[:, None]
                                           * sparse.eigenfunctions)
-        np.testing.assert_allclose(gram, np.eye(20), atol=1e-12)
+        np.testing.assert_allclose(gram, np.eye(20), rtol=0, atol=1e-12)
 
     def test_k_out_of_range(self, tetra_mesh):
+        # Lanczos cannot return all n pairs, so k = n is out of range too
         lap = cotan_laplacian(tetra_mesh)
         mass = voronoi_areas(tetra_mesh)
-        with pytest.raises(DataError):
-            lb_spectrum(lap, mass, 5)
-        with pytest.raises(DataError):
-            lb_spectrum(lap, mass, 0)
+        for k in (0, 4, 5):
+            with pytest.raises(DataError, match="need 1 <= k < 4"):
+                lb_spectrum(lap, mass, k)
+
+    @pytest.mark.parametrize("k", [4, 100])
+    def test_mesh_spectrum_caps_k_below_vertex_count(self, tetra_mesh, k):
+        spec = mesh_spectrum(tetra_mesh, k)
+        assert spec.eigenvalues.shape == (3,)
+        assert spec.eigenfunctions.shape == (4, 3)
 
     def test_cancelled_cotangent_edge_still_connected(self, square_mesh):
         # the square's diagonal edge weight is cot90+cot90 = 0; the mesh

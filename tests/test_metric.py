@@ -16,7 +16,7 @@ from conftest import random_rotation
 class TestEmbeddingParams:
     def test_shapes_and_properties(self):
         p = EmbeddingParams(np.zeros((3, 7)), np.zeros((4, 3)), np.zeros(4))
-        assert p.d_embed == 3 and p.d_in == 7 and p.n_classes == 4
+        assert p.W.shape == (3, 7) and p.d_in == 7 and p.n_classes == 4
         assert EmbeddingParams(np.zeros((2, 2))).n_classes is None
 
     def test_from_blocks(self):

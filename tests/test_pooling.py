@@ -142,4 +142,4 @@ class TestPooledSPD:
             PooledSPD(np.array([[1.0, 2.0], [2.1, 1.0]]))
         with pytest.raises(DataError, match="finite"):
             PooledSPD(np.array([[np.inf]]))
-        assert PooledSPD(np.eye(3)).dim == 3
+        assert PooledSPD(np.eye(3)).H.shape == (3, 3)

@@ -64,7 +64,7 @@ class TestPointCloud:
     def test_accepts_unit_normals(self):
         pc = PointCloud(np.zeros((2, 3)),
                         np.array([[1.0, 0, 0], [0, 1.0, 0]]))
-        assert pc.n_points == 2
+        assert pc.points.shape == (2, 3)
 
     def test_rejects_non_unit_normals(self):
         with pytest.raises(DataError):
@@ -80,7 +80,7 @@ class TestLoadMesh:
         p = tmp_path / "t.off"
         p.write_text(OFF_TETRA)
         mesh = load_mesh(p)
-        assert mesh.n_vertices == 4 and mesh.n_faces == 4
+        assert mesh.n_vertices == 4 and mesh.faces.shape == (4, 3)
 
     def test_obj_one_based_indices(self, tmp_path):
         p = tmp_path / "t.obj"
@@ -92,7 +92,7 @@ class TestLoadMesh:
         p = tmp_path / "t.ply"
         p.write_text(PLY_TRI)
         mesh = load_mesh(p)
-        assert mesh.n_vertices == 3 and mesh.n_faces == 1
+        assert mesh.n_vertices == 3 and mesh.faces.shape == (1, 3)
 
     def test_off_truncated_vertices_reports_line(self, tmp_path):
         bad = "OFF\n5 1 0\n0 0 0\n0 1 0\n1 0 0\n1 1 0\n3 0 1 2\n"
@@ -227,7 +227,7 @@ class TestSamplePoints:
     def test_single_triangle_all_points_share_normal(self, tetra_mesh,
                                                      equilateral_mesh):
         pc = sample_points(equilateral_mesh, 3, 0)
-        assert pc.n_points == 3
+        assert pc.points.shape == (3, 3)
         assert np.ptp(pc.normals, axis=0).max() == 0.0
 
     def test_points_lie_on_face_plane(self, equilateral_mesh):
@@ -284,7 +284,7 @@ class TestSamplePoints:
         import logging
         with caplog.at_level(logging.WARNING):
             pc = sample_points(mesh, 200, 0)
-        assert pc.n_points == 200
+        assert pc.points.shape == (200, 3)
         assert np.abs(pc.points[:, 2]).min() >= 0.0
         assert any("zero-area" in r.message for r in caplog.records)
 
