@@ -154,14 +154,11 @@ def lb_spectrum(lap, mass, k):
     L phi - lambda M phi, which no solver lowers, so such meshes are
     rejected. Eigenvalues at round-off level are snapped to exactly 0 and
     eigenvector signs are fixed so the largest-magnitude entry is positive.
+    Two or more zero modes mean the mesh is not connected, a ``DataError``.
     """
     n = lap.shape[0]
     if k < 1 or k >= n:
         raise DataError(f"need 1 <= k < {n} (the vertex count), got {k}")
-    ncomp = csgraph.connected_components(abs(lap), directed=False,
-                                         return_labels=False)
-    if ncomp != 1:
-        raise DataError(f"mesh has {ncomp} connected components; expected 1")
 
     # shift slightly negative: L itself is singular at 0
     v0 = np.full(n, 1.0 / np.sqrt(n))
@@ -183,11 +180,13 @@ def lb_spectrum(lap, mass, k):
 
     zero = evals <= ZERO_EIGENVALUE_RTOL * evals[-1]
     evals = np.where(zero, 0.0, evals)
-    # a multiple zero eigenvalue means the operator decouples even when the
-    # sparsity structure looks connected (e.g. cancelled cotangent weights)
-    if k >= 2 and evals[-1] > 0.0 and zero[1]:
-        raise DataError(f"mesh has {int(zero.sum())} connected components; "
-                        "expected 1")
+    # a repeated zero eigenvalue means the operator decouples, through its
+    # structure or through cancelled cotangent weights. lambda * area is
+    # scale-free, so its round-off level needs no lambda_max and holds even
+    # when all k eigenvalues are zero modes
+    ncomp = int(np.count_nonzero(evals * area <= ZERO_EIGENVALUE_RTOL))
+    if ncomp > 1:
+        raise DataError(f"mesh has {ncomp} connected components; expected 1")
     for j in range(evecs.shape[1]):
         col = evecs[:, j]
         if col[np.argmax(np.abs(col))] < 0.0:

@@ -1,8 +1,9 @@
 """Shape parsing, dataset manifests, and surface point sampling.
 
 Meshes are read from ASCII OFF, OBJ (``v``/``f`` records) and ASCII PLY
-and written as ASCII OFF. Manifests are tab-separated text files, one
-shape per line.
+and written as ASCII OFF; a malformed record or a non-finite coordinate
+is a ``MeshFormatError`` that names its line. Manifests are tab-separated
+text files, one shape per line.
 """
 
 import hashlib
@@ -38,6 +39,9 @@ class TriMesh:
             raise DataError(
                 f"mesh too small: {len(self.vertices)} vertices, {len(self.faces)} faces"
             )
+        if not np.isfinite(self.vertices).all():
+            bad = int(np.argmin(np.isfinite(self.vertices).all(axis=1)))
+            raise DataError(f"vertex {bad} has a non-finite coordinate")
         if self.faces.min() < 0 or self.faces.max() >= len(self.vertices):
             raise DataError("face index out of range")
         f = self.faces
@@ -152,7 +156,13 @@ def _read_bytes(path):
 
 
 def load_mesh(path):
-    """Parse a mesh file (OFF, OBJ or ASCII PLY, by extension)."""
+    """Parse a mesh file (OFF, OBJ or ASCII PLY, by extension).
+
+    A format reader only finds the records: vertex and face rows as (line
+    number, text) in OFF's layout, the index of the first vertex, and the
+    (element, rows declared, rows found, header line) of its header.
+    ``_to_mesh`` parses and checks the records of every format.
+    """
     path = Path(path)
     ext = _mesh_extension(path)
     data = _read_bytes(path)
@@ -163,14 +173,52 @@ def load_mesh(path):
             path, f"byte 0x{data[exc.start]:02x} at offset {exc.start} is "
                   f"not UTF-8; mesh files are read as text",
             data.count(b"\n", 0, exc.start) + 1)
-    if ext == ".off":
-        vertices, faces = _parse_off(path, text)
-    elif ext == ".obj":
-        vertices, faces = _parse_obj(path, text)
-    else:
-        vertices, faces = _parse_ply(path, text)
+    read = {".off": _read_off, ".obj": _read_obj, ".ply": _read_ply}[ext]
+    return _to_mesh(path, *read(path, text))
+
+
+def _to_mesh(path, vertex_rows, face_rows, base, declared):
+    """The ``TriMesh`` of a reader's records; a bad record names its line."""
+    for name, count, found, line in declared:
+        if found < count:
+            raise MeshFormatError(
+                path, f"{name} rows: {count} declared, {found} found", line)
+    coords = []
+    for _, text in vertex_rows:
+        try:
+            x, y, z = map(float, text.split()[:3])
+        except ValueError:
+            break
+        coords += x, y, z
+    vertices = np.array(coords, dtype=np.float64).reshape(-1, 3)
+    finite = np.isfinite(vertices).all(axis=1)
+    good = len(vertices) if finite.all() else int(np.argmin(finite))
+    if good < len(vertex_rows):
+        line, text = vertex_rows[good]
+        raise MeshFormatError(path, f"bad vertex line {text!r}", line)
+
+    indices = []
+    top = len(vertices) + base
+    for line, text in face_rows:
+        tokens = text.split()
+        try:
+            arity = int(tokens[0])
+            idx = [int(t) for t in tokens[1:1 + arity]]
+        except ValueError:
+            idx = None
+        if idx is None or len(idx) != arity:
+            raise MeshFormatError(path, f"bad face line {text!r}", line)
+        if arity != 3:
+            raise MeshFormatError(path, f"non-triangle face (arity {arity})",
+                                  line)
+        a, b, c = idx
+        if not (base <= a < top and base <= b < top and base <= c < top):
+            raise MeshFormatError(path, f"face index out of range: {idx}",
+                                  line)
+        indices += idx
+    faces = np.array(indices, dtype=np.int64).reshape(-1, 3) - base
     try:
-        return TriMesh(np.asarray(vertices), np.asarray(faces))
+        return TriMesh(vertices, faces)
     except DataError as exc:
         raise MeshFormatError(path, str(exc))
 
@@ -183,149 +231,99 @@ def _content_lines(text):
             yield i, line
 
 
-def _parse_off(path, text):
-    lines = list(_content_lines(text))
-    if not lines:
+def _read_off(path, text):
+    rows = list(_content_lines(text))
+    if not rows:
         raise MeshFormatError(path, "empty file")
-    lineno, header = lines[0]
-    tokens = header.split()
-    if tokens[0] != "OFF":
-        raise MeshFormatError(path, "missing OFF header", lineno)
-    if len(tokens) >= 4:
-        counts, body = tokens[1:4], lines[1:]
-    else:
-        if len(lines) < 2:
-            raise MeshFormatError(path, "missing counts line", lineno)
-        counts, body = lines[1][1].split(), lines[2:]
+    line, header = rows[0][0], rows[0][1].split()
+    if header[0] != "OFF":
+        raise MeshFormatError(path, "missing OFF header", line)
+    # the counts follow the header on its line or on the next one
+    counts, body = header[1:4], rows[1:]
+    if len(header) < 4 and body:
+        line, counts, body = body[0][0], body[0][1].split(), body[1:]
     try:
         nv, nf = int(counts[0]), int(counts[1])
     except (ValueError, IndexError):
-        raise MeshFormatError(path, f"bad counts line {counts!r}")
-    if len(body) < nv + nf:
-        raise MeshFormatError(
-            path,
-            f"declares {nv} vertices / {nf} faces but only {len(body)} data lines "
-            "follow",
-            body[-1][0] if body else lineno,
-        )
-    vertices = []
-    for lineno, line in body[:nv]:
-        parts = line.split()
-        if len(parts) < 3:
-            raise MeshFormatError(path, f"bad vertex line {line!r}", lineno)
-        try:
-            vertices.append([float(x) for x in parts[:3]])
-        except ValueError:
-            raise MeshFormatError(path, f"bad vertex line {line!r}", lineno)
-    faces = []
-    for lineno, line in body[nv:nv + nf]:
-        parts = line.split()
-        try:
-            arity = int(parts[0])
-            idx = [int(x) for x in parts[1:1 + arity]]
-        except (ValueError, IndexError):
-            raise MeshFormatError(path, f"bad face line {line!r}", lineno)
-        if arity != 3 or len(idx) != 3:
-            raise MeshFormatError(path, f"non-triangle face (arity {arity})", lineno)
-        if min(idx) < 0 or max(idx) >= nv:
-            raise MeshFormatError(path, f"face index out of range: {idx}", lineno)
-        faces.append(idx)
-    return vertices, faces
+        nv = nf = -1
+    if nv < 0 or nf < 0:
+        raise MeshFormatError(path, f"bad counts line {' '.join(counts)!r}",
+                              line)
+    vertices, faces = body[:nv], body[nv:nv + nf]
+    return vertices, faces, 0, (("vertex", nv, len(vertices), line),
+                                ("face", nf, len(faces), line))
 
 
-def _parse_obj(path, text):
+def _read_obj(path, text):
     vertices, faces = [], []
-    for lineno, line in _content_lines(text):
-        parts = line.split()
-        if parts[0] == "v":
-            if len(parts) < 4:
-                raise MeshFormatError(path, f"bad vertex line {line!r}", lineno)
-            try:
-                vertices.append([float(x) for x in parts[1:4]])
-            except ValueError:
-                raise MeshFormatError(path, f"bad vertex line {line!r}", lineno)
-        elif parts[0] == "f":
-            if len(parts) != 4:
-                raise MeshFormatError(path, "non-triangle face", lineno)
-            try:
-                # tokens may carry /vt/vn suffixes; only the vertex index is used
-                idx = [int(tok.split("/")[0]) for tok in parts[1:]]
-            except ValueError:
-                raise MeshFormatError(path, f"bad face line {line!r}", lineno)
-            if min(idx) < 1:
-                raise MeshFormatError(path, f"face index out of range: {idx}", lineno)
-            faces.append([i - 1 for i in idx])
-    if faces and max(max(f) for f in faces) >= len(vertices):
-        raise MeshFormatError(path, "face index out of range")
-    return vertices, faces
+    for line, record in _content_lines(text):
+        kind = record.split(None, 1)[0]
+        rest = record[len(kind):].lstrip()
+        if kind == "v":
+            vertices.append((line, rest))
+        elif kind == "f":
+            # tokens may carry /vt/vn suffixes; only the vertex index is used
+            idx = [t.split("/", 1)[0] for t in rest.split()]
+            faces.append((line, f"{len(idx)} {' '.join(idx)}"))
+    return vertices, faces, 1, ()
 
 
-def _parse_ply(path, text):
+def _read_ply(path, text):
     lines = text.splitlines()
     if not lines or lines[0].strip() != "ply":
         raise MeshFormatError(path, "missing ply header", 1)
-    elements = []  # (name, count, property names)
-    pos = 1
+    elements = []  # (name, declared rows, property names, header line)
     fmt_seen = False
-    while pos < len(lines):
-        parts = lines[pos].strip().split()
-        pos += 1
+    for i, raw in enumerate(lines[1:], start=2):
+        parts = raw.split()
         if not parts or parts[0] == "comment":
             continue
         if parts[0] == "format":
-            if parts[1] != "ascii":
-                raise MeshFormatError(path, f"unsupported PLY format {parts[1]!r}", pos)
+            if parts[1:2] != ["ascii"]:
+                raise MeshFormatError(path, "unsupported PLY format line "
+                                            f"{raw.strip()!r}", i)
             fmt_seen = True
         elif parts[0] == "element":
-            elements.append([parts[1], int(parts[2]), []])
+            try:
+                count = int(parts[2])
+            except (ValueError, IndexError):
+                count = -1
+            if count < 0:
+                raise MeshFormatError(path, "bad element line "
+                                            f"{raw.strip()!r}", i)
+            if parts[1] == "face" and all(e[0] != "vertex" for e in elements):
+                raise MeshFormatError(path, "face element before vertex", i)
+            elements.append((parts[1], count, [], i))
         elif parts[0] == "property":
             if not elements:
-                raise MeshFormatError(path, "property before element", pos)
+                raise MeshFormatError(path, "property before element", i)
             elements[-1][2].append(parts[-1])
         elif parts[0] == "end_header":
             break
     else:
-        raise MeshFormatError(path, "missing end_header")
+        raise MeshFormatError(path, "missing end_header", len(lines))
     if not fmt_seen:
-        raise MeshFormatError(path, "missing format line")
+        raise MeshFormatError(path, "missing format line", i)
 
-    data = [(i, ln.strip()) for i, ln in enumerate(lines[pos:], start=pos + 1)
-            if ln.strip()]
-    vertices, faces = [], []
-    cursor = 0
-    for name, count, props in elements:
-        rows = data[cursor:cursor + count]
-        if len(rows) < count:
-            raise MeshFormatError(path, f"element {name!r} declares {count} rows, "
-                                        f"found {len(rows)}")
-        cursor += count
+    data = [(j, s.strip()) for j, s in enumerate(lines[i:], start=i + 1)
+            if s.strip()]
+    vertices, faces, declared = [], [], []
+    for name, count, props, line in elements:
+        rows, data = data[:count], data[count:]
+        declared.append((name, count, len(rows), line))
         if name == "vertex":
             try:
                 cols = [props.index(c) for c in ("x", "y", "z")]
             except ValueError:
-                raise MeshFormatError(path, "vertex element lacks x/y/z properties")
-            for lineno, line in rows:
-                vals = line.split()
-                try:
-                    vertices.append([float(vals[c]) for c in cols])
-                except (ValueError, IndexError):
-                    raise MeshFormatError(path, f"bad vertex line {line!r}", lineno)
+                raise MeshFormatError(path, "vertex element lacks x/y/z "
+                                            "properties", line)
+            for j, s in rows:
+                t = s.split()
+                xyz = " ".join(t[c] for c in cols if c < len(t))
+                vertices.append((j, xyz))
         elif name == "face":
-            for lineno, line in rows:
-                vals = line.split()
-                try:
-                    arity = int(vals[0])
-                    idx = [int(x) for x in vals[1:1 + arity]]
-                except (ValueError, IndexError):
-                    raise MeshFormatError(path, f"bad face line {line!r}", lineno)
-                if arity != 3:
-                    raise MeshFormatError(path, f"non-triangle face (arity {arity})",
-                                          lineno)
-                if min(idx) < 0 or max(idx) >= len(vertices):
-                    raise MeshFormatError(path, f"face index out of range: {idx}",
-                                          lineno)
-                faces.append(idx)
-    return vertices, faces
+            faces += rows
+    return vertices, faces, 0, declared
 
 
 def save_mesh(path, mesh):

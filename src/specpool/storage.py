@@ -24,7 +24,7 @@ CACHE_ENV_VAR = "SPECPOOL_CACHE"
 
 # instrumentation: how many records were served from disk vs recomputed,
 # reset by the CLI's extract command and by tests
-counters = {"hits": 0, "misses": 0, "stores": 0}
+counters = {"hits": 0, "misses": 0}
 
 
 def reset_counters():
@@ -123,5 +123,4 @@ class ShapeCache:
         if not isinstance(arrays, dict):
             raise CacheError(f"compute for stage {stage!r} must return a dict")
         save_bundle(path, arrays)
-        counters["stores"] += 1
         return arrays

@@ -5,7 +5,8 @@ import pytest
 
 from specpool import metric
 from specpool.cli import main
-from specpool.shape_io import load_manifest, load_mesh
+from specpool.shape_io import (load_manifest, load_mesh,
+                               save_manifest)
 
 
 @pytest.fixture(scope="module")
@@ -158,19 +159,52 @@ class TestExtract:
 
     def test_non_utf8_mesh_fails_that_shape(self, workspace, tmp_path,
                                             capsys):
-        data = tmp_path / "data"
-        shutil.copytree(workspace["data"], data)
-        manifest = load_manifest(data / "manifest.tsv")
-        entry = manifest.entries[0]
-        mesh = manifest.full_path(entry)
-        mesh.write_bytes(mesh.read_bytes() + b"# \xff\xfe\n")
-        rc = main(["extract", "--manifest", str(data / "manifest.tsv"),
-                   "--config", str(workspace["cfg"]),
-                   "--cache", str(tmp_path / "cache")])
-        assert rc == 3
-        err = capsys.readouterr().err
-        assert f"FAILED {entry.shape_id}: " in err
-        assert "not UTF-8" in err and "Traceback" not in err
+        # each case breaks one shape's file (a non-UTF-8 comment, a PLY face
+        # row short of its arity, a NaN coordinate); only that shape fails
+        def non_utf8(mesh):
+            mesh.write_bytes(mesh.read_bytes() + b"# \xff\xfe\n")
+            return mesh
+
+        def short_face_ply(mesh):
+            # an OFF body is PLY's; drop the last index of the first face
+            lines = mesh.read_text().split("\n")
+            nv, nf, _ = lines[1].split()
+            lines[2 + int(nv)] = lines[2 + int(nv)].rsplit(" ", 1)[0]
+            ply = mesh.with_suffix(".ply")
+            ply.write_text("\n".join(
+                ["ply", "format ascii 1.0", f"element vertex {nv}",
+                 "property double x", "property double y",
+                 "property double z", f"element face {nf}",
+                 "property list uchar int vertex_indices", "end_header"]
+                + lines[2:]))
+            return ply
+
+        def nan_off(mesh):
+            lines = mesh.read_text().split("\n")
+            lines[2] = "nan " + lines[2].split(" ", 1)[1]
+            mesh.write_text("\n".join(lines))
+            return mesh
+
+        cases = {non_utf8: "not UTF-8", short_face_ply: "bad face line",
+                 nan_off: ":3: bad vertex line 'nan "}
+        for case, message in cases.items():
+            data = tmp_path / case.__name__
+            shutil.copytree(workspace["data"], data)
+            manifest = load_manifest(data / "manifest.tsv")
+            entry = manifest.entries[0]
+            broken = case(manifest.full_path(entry))
+            manifest.entries[0].relpath = broken.name
+            save_manifest(data / "manifest.tsv", manifest)
+            rc = main(["extract", "--manifest", str(data / "manifest.tsv"),
+                       "--config", str(workspace["cfg"]),
+                       "--cache", str(tmp_path / "cache")])
+            assert rc == 3
+            out, err = capsys.readouterr()
+            n = len(manifest.entries)
+            assert f"extracted {n - 1} shapes" in out
+            assert err.count("FAILED") == 1
+            assert f"FAILED {entry.shape_id}: {broken}" in err
+            assert message in err and "Traceback" not in err
 
 
 @pytest.fixture(scope="module")

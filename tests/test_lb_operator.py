@@ -220,8 +220,12 @@ class TestConnectivity:
             mesh_spectrum(self.two_component_mesh(), 3)
 
     def test_lb_spectrum_rejects_disconnected(self):
+        # at k = 2 both eigenvalues are zero modes, so neither gives a scale
         mesh = self.two_component_mesh()
-        lap = cotan_laplacian(mesh)
-        mass = voronoi_areas(mesh)
-        with pytest.raises(DataError, match="connected components"):
-            lb_spectrum(lap, mass, 3)
+        for scale in (1e-3, 1.0, 1e3):
+            scaled = TriMesh(mesh.vertices * scale, mesh.faces)
+            lap = cotan_laplacian(scaled)
+            mass = voronoi_areas(scaled)
+            for k in (2, 3):
+                with pytest.raises(DataError, match="2 connected components"):
+                    lb_spectrum(lap, mass, k)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from specpool import synth
 from specpool.errors import DataError, ManifestError, MeshFormatError
 from specpool.shape_io import (DatasetManifest, ManifestEntry, PointCloud,
                                TriMesh, face_areas, face_unit_normals,
@@ -41,6 +42,71 @@ end_header
 3 0 1 2
 """
 
+PLY_FACE_FIRST = """ply
+format ascii 1.0
+element face 1
+property list uchar int vertex_indices
+element vertex 3
+property float x
+property float y
+property float z
+end_header
+3 0 1 2
+0 0 0
+1 0 0
+0 1 0
+"""
+
+# (file name, text, message fragment, line it names)
+MALFORMED = [
+    ("short_face.ply", PLY_TRI.replace("3 0 1 2", "3 0 1"),
+     "bad face line '3 0 1'", 13),
+    ("word_count.ply", PLY_TRI.replace("vertex 3", "vertex four"),
+     "bad element line 'element vertex four'", 3),
+    ("no_count.ply", PLY_TRI.replace("vertex 3", "vertex"),
+     "bad element line 'element vertex'", 3),
+    ("bare_format.ply", PLY_TRI.replace("format ascii 1.0", "format"),
+     "unsupported PLY format line 'format'", 2),
+    ("face_first.ply", PLY_FACE_FIRST,
+     "face element before vertex", 3),
+    ("short_face.off", OFF_TETRA.replace("3 0 3 1", "3 0 3"),
+     "bad face line '3 0 3'", 8),
+    ("short_face.obj", OBJ_TRI.replace("f 1 2 3", "f 1 2"),
+     "non-triangle face (arity 2)", 5),
+    ("negative_count.off", "OFF\n-1 1 0\n0 0 0\n3 0 1 2\n",
+     "bad counts line '-1 1 0'", 2),
+    ("missing_face.off", "OFF\n5 1 0\n0 0 0\n0 1 0\n1 0 0\n1 1 0\n3 0 1 2\n",
+     "face rows: 1 declared, 0 found", 2),
+    ("nan.off", OFF_TETRA.replace("-1 1 -1", "-1 nan -1"),
+     "bad vertex line '-1 nan -1'", 5),
+    ("inf.off", OFF_TETRA.replace("-1 1 -1", "-inf 1 -1"),
+     "bad vertex line '-inf 1 -1'", 5),
+    ("nan.obj", OBJ_TRI.replace("v 1 0 0", "v 1 0 nan"),
+     "bad vertex line '1 0 nan'", 3),
+    ("inf.obj", OBJ_TRI.replace("v 1 0 0", "v 1 1e999 0"),
+     "bad vertex line '1 1e999 0'", 3),
+    ("nan.ply", PLY_TRI.replace("1 0 0\n", "NaN 0 0\n"),
+     "bad vertex line 'NaN 0 0'", 11),
+    ("inf.ply", PLY_TRI.replace("1 0 0\n", "1 0 inf\n"),
+     "bad vertex line '1 0 inf'", 11),
+]
+
+
+def obj_and_ply_texts(verts, faces):
+    """The mesh as OBJ and PLY text; 17 significant digits identify a
+    double exactly, so both parse back to the same arrays."""
+    vlines = ["%.17g %.17g %.17g" % tuple(p) for p in verts]
+    return {
+        ".obj": ["v " + line for line in vlines]
+                + ["f %d %d %d" % tuple(t + 1) for t in faces],
+        ".ply": ["ply", "format ascii 1.0",
+                 f"element vertex {len(verts)}",
+                 "property float64 x", "property float64 y",
+                 "property float64 z", f"element face {len(faces)}",
+                 "property list uchar int vertex_indices", "end_header"]
+                + vlines + ["3 %d %d %d" % tuple(t) for t in faces],
+    }
+
 
 class TestTriMesh:
     def test_validates_index_range(self):
@@ -58,6 +124,14 @@ class TestTriMesh:
     def test_rejects_no_faces(self):
         with pytest.raises(DataError):
             TriMesh(np.eye(3), np.zeros((0, 3), dtype=int))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_vertex(self, value):
+        verts = np.eye(4, 3)
+        verts[2, 1] = value
+        with pytest.raises(DataError,
+                           match="vertex 2 has a non-finite coordinate"):
+            TriMesh(verts, np.array([[0, 1, 2], [0, 1, 3]]))
 
 
 class TestPointCloud:
@@ -152,26 +226,39 @@ class TestLoadMesh:
         assert np.array_equal(back.faces, tetra_mesh.faces)
 
     def test_round_trip_obj_and_ply(self, tmp_path, tetra_mesh):
-        # 17 significant digits identify a double exactly
         verts = tetra_mesh.vertices / 3.0 + 0.1
         faces = tetra_mesh.faces
-        vlines = ["%.17g %.17g %.17g" % tuple(p) for p in verts]
-        texts = {
-            ".obj": ["v " + line for line in vlines]
-                    + ["f %d %d %d" % tuple(t + 1) for t in faces],
-            ".ply": ["ply", "format ascii 1.0",
-                     f"element vertex {len(verts)}",
-                     "property float64 x", "property float64 y",
-                     "property float64 z", f"element face {len(faces)}",
-                     "property list uchar int vertex_indices", "end_header"]
-                    + vlines + ["3 %d %d %d" % tuple(t) for t in faces],
-        }
-        for ext, lines in texts.items():
+        for ext, lines in obj_and_ply_texts(verts, faces).items():
             p = tmp_path / f"rt{ext}"
             p.write_text("\n".join(lines) + "\n")
             back = load_mesh(p)
             assert np.array_equal(back.vertices, verts)
             assert np.array_equal(back.faces, faces)
+
+    @pytest.mark.parametrize("kind", synth.GENERATORS)
+    def test_synth_meshes_parse_bit_identically(self, tmp_path, kind):
+        spec = synth.SynthSpec()
+        mesh = synth.make_instance(kind, 642, spec.amplitude, spec.scale,
+                                   np.random.default_rng(11))
+        save_mesh(tmp_path / "m.off", mesh)
+        texts = obj_and_ply_texts(mesh.vertices, mesh.faces)
+        for ext, lines in texts.items():
+            (tmp_path / f"m{ext}").write_text("\n".join(lines) + "\n")
+        for ext in (".off", ".obj", ".ply"):
+            back = load_mesh(tmp_path / f"m{ext}")
+            assert np.array_equal(back.vertices, mesh.vertices)
+            assert np.array_equal(back.faces, mesh.faces)
+
+    @pytest.mark.parametrize("name,text,fragment,line", MALFORMED,
+                             ids=[row[0] for row in MALFORMED])
+    def test_malformed_record_names_its_line(self, tmp_path, name, text,
+                                             fragment, line):
+        p = tmp_path / name
+        p.write_text(text)
+        with pytest.raises(MeshFormatError) as err:
+            load_mesh(p)
+        assert err.value.line == line
+        assert f"{name}:{line}: {fragment}" in str(err.value)
 
     def test_writes_only_off(self, tmp_path, tetra_mesh):
         for ext in (".obj", ".ply", ".stl"):
