@@ -40,7 +40,11 @@ class LBSpectrum:
 
 
 def _corner_cotangents(vertices, faces):
-    """Cotangent at each triangle corner, shape (m, 3); plus double areas."""
+    """Cotangent at each triangle corner, shape (m, 3); plus double areas.
+
+    Finite coordinates can still overflow here (near 1e150 and above);
+    a face whose cotangents or area are not finite is a ``DataError``.
+    """
     p0 = vertices[faces[:, 0]]
     p1 = vertices[faces[:, 1]]
     p2 = vertices[faces[:, 2]]
@@ -51,14 +55,19 @@ def _corner_cotangents(vertices, faces):
         o = (p0, p1, p2)[c]
         u = a - o
         v = b - o
-        cross = np.cross(u, v)
-        norm = np.linalg.norm(cross, axis=1)
-        if np.any(norm == 0.0):
-            raise DataError(
-                f"degenerate face at index {int(np.argmin(norm))}"
-            )
-        cots[:, c] = np.einsum("ij,ij->i", u, v) / norm
+        with np.errstate(over="ignore", invalid="ignore"):
+            cross = np.cross(u, v)
+            norm = np.linalg.norm(cross, axis=1)
+            if np.any(norm == 0.0):
+                raise DataError(
+                    f"degenerate face at index {int(np.argmin(norm))}"
+                )
+            cots[:, c] = np.einsum("ij,ij->i", u, v) / norm
         double_area = norm  # same for every corner
+    finite = np.isfinite(cots).all(axis=1) & np.isfinite(double_area)
+    if not finite.all():
+        raise DataError(f"face {int(np.argmin(finite))} has a non-finite "
+                        "cotangent weight or area (coordinates too large)")
     return cots, double_area
 
 
@@ -121,6 +130,10 @@ def voronoi_areas(mesh):
 
     areas = np.zeros(mesh.n_vertices)
     np.add.at(areas, faces.ravel(), contrib.ravel())
+    finite = np.isfinite(areas)
+    if not finite.all():
+        raise DataError(f"vertex {int(np.argmin(finite))} has a non-finite "
+                        "Voronoi area (coordinates too large)")
     if np.any(areas <= 0.0):
         bad = int(np.argmin(areas))
         raise DataError(f"vertex {bad} has non-positive Voronoi area "

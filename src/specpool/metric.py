@@ -4,10 +4,14 @@ The embedding is F = W (x / ||x||) over the transformed descriptor
 vector. The retrieval loss is a squared hinge over triplets plus an
 attraction term; the classification loss applies the binary cross-entropy
 form to softmax outputs (a plain categorical variant is available).
-All gradients are exact and feed the spectral-transform backward.
+All gradients are exact and feed the spectral-transform backward. The
+gradient of W stays as its two thin factors (``FactoredGrad``), so a
+training step builds no d_m x D array: W has d(d+1)/2 columns, 195,625
+at d = 625.
 """
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -95,16 +99,31 @@ def embed_rows(x, params):
     return xt @ params.W.T, (xt, norms)
 
 
+class FactoredGrad(NamedTuple):
+    """The weight gradient ``left.T @ right``, kept as its two factors.
+
+    ``left`` is B x d_m and ``right`` is B x D for a batch of B rows.
+    """
+
+    left: np.ndarray
+    right: np.ndarray
+
+    def dense(self):
+        """The d_m x D gradient as one array."""
+        return self.left.T @ self.right
+
+
 def embed_rows_backward(dF, params, cache):
     """Gradients (dW, dx) through the embedding and the normalization.
 
-    The normalization Jacobian is (I - u u^T) / ||x|| at u = x/||x||.
+    dW = dF^T (x / ||x||) is returned as ``FactoredGrad(dF, x / ||x||)``;
+    it holds ``dF`` itself, not a copy. The normalization Jacobian is
+    (I - u u^T) / ||x|| at u = x/||x||.
     """
     xt, norms = cache
-    dW = dF.T @ xt
     y = dF @ params.W
     dx = (y - np.sum(y * xt, axis=1)[:, None] * xt) / norms[:, None]
-    return dW, dx
+    return FactoredGrad(dF, xt), dx
 
 
 # ---------------------------------------------------------------------------

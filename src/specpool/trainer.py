@@ -25,6 +25,13 @@ from .rng import substream
 
 logger = logging.getLogger(__name__)
 
+# columns of W per block of the factored SGD update: the d_m x 4096 block
+# product (1 MB at d_m = 32) stays in cache. SciPy's BLAS dgemm could add
+# into W directly, but it loads a second OpenBLAS whose threads compete
+# with NumPy's: with two threads each, a loop of a training step's
+# products ran 8x slower through it than through NumPy alone.
+UPDATE_COLUMNS = 4096
+
 
 @dataclass
 class FeatureSet:
@@ -173,12 +180,29 @@ def _sample_triplets(labels, anchor_ok, class_count, t_max, rng):
 # optimization
 
 def sgd_step(params, grads, learning_rate):
-    """Plain SGD update, in place: theta <- theta - lr * grad."""
+    """Plain SGD update, in place: theta <- theta - lr * grad.
+
+    A ``metric.FactoredGrad`` (dF, x) is applied as a rank-B update
+    W <- W - lr * dF^T x, added into W's own buffer ``UPDATE_COLUMNS``
+    columns at a time, so no d_m x D gradient or temporary is formed. The
+    finiteness check reads the factors: the rows of x are unit vectors, so
+    the product of finite factors overflows only if |lr * dF| nears
+    1e308 / B.
+    """
     for name, grad in grads.items():
-        if not np.all(np.isfinite(grad)):
+        factored = isinstance(grad, metric.FactoredGrad)
+        if not all(np.all(np.isfinite(g))
+                   for g in (grad if factored else (grad,))):
             raise DataError(f"non-finite gradient in parameter block "
                             f"{name!r}")
-        params[name] -= learning_rate * grad
+        if factored:
+            step = (-learning_rate * grad.left).T
+            w = params[name]
+            for j in range(0, w.shape[1], UPDATE_COLUMNS):
+                w[:, j:j + UPDATE_COLUMNS] += \
+                    step @ grad.right[:, j:j + UPDATE_COLUMNS]
+        else:
+            params[name] -= learning_rate * grad
     return params
 
 
@@ -199,7 +223,8 @@ def init_params(config, features, n_classes=None):
 
 def _batch_forward_backward(features, blocks, batch, config):
     """Loss and parameter gradients for one batch; grads are summed, the
-    caller divides by the batch size."""
+    caller divides by the batch size. The W gradient is a
+    ``metric.FactoredGrad``; the other blocks' gradients are arrays."""
     gamma = features.gamma(blocks)
     head = metric.EmbeddingParams.from_blocks(blocks)
     grads = {}
@@ -270,7 +295,10 @@ def train(config, features, n_classes=None):
             loss, grads = _batch_forward_backward(features, blocks, batch,
                                                   config)
             for grad in grads.values():
-                grad *= 1.0 / len(batch)
+                if isinstance(grad, metric.FactoredGrad):
+                    grad.left[...] *= 1.0 / len(batch)
+                else:
+                    grad *= 1.0 / len(batch)
             sgd_step(blocks, grads, config.learning_rate)
             total += loss
             units += len(batch)
@@ -381,6 +409,8 @@ def gradcheck(seed=11, h=1e-5, threshold=1e-5):
 def _accumulate_block_errors(errors, features, blocks, batch, config, h, tag):
     _, grads = _batch_forward_backward(features, blocks, batch, config)
     for name, grad in grads.items():
+        if isinstance(grad, metric.FactoredGrad):
+            grad = grad.dense()
         theta = blocks[name]
         worst = 0.0
         it = np.nditer(theta, flags=["multi_index"])

@@ -6,6 +6,8 @@ import scipy.linalg
 from scipy.spatial import cKDTree
 
 from specpool.descriptors import DescriptorField
+from specpool.errors import DataError
+from specpool.metric import FactoredGrad
 from specpool.rng import substream
 from specpool.shape_io import TriMesh
 from specpool.trainer import FeatureSet
@@ -135,6 +137,23 @@ def unhalved_scatter(monkeypatch):
                       _unhalved_pull_gamma_grad)
             yield
     return inject
+
+
+def dense_sgd_step(params, grads, learning_rate):
+    """SGD step with every gradient as one dense array.
+
+    ``trainer.sgd_step`` applies the W gradient ``FactoredGrad(dF, x)`` as
+    a rank-B update in W's buffer; this reference forms dF^T x, checks it
+    and subtracts ``learning_rate * grad`` from each block.
+    """
+    for name, grad in grads.items():
+        if isinstance(grad, FactoredGrad):
+            grad = grad.left.T @ grad.right
+        if not np.all(np.isfinite(grad)):
+            raise DataError(f"non-finite gradient in parameter block "
+                            f"{name!r}")
+        params[name] -= learning_rate * grad
+    return params
 
 
 def dense_lb_spectrum(lap, mass, k):

@@ -3,10 +3,11 @@ import shutil
 import numpy as np
 import pytest
 
-from specpool import metric
+from specpool import metric, synth
 from specpool.cli import main
-from specpool.shape_io import (load_manifest, load_mesh,
-                               save_manifest)
+from specpool.shape_io import (DatasetManifest, ManifestEntry, TriMesh,
+                               load_manifest, load_mesh, save_manifest,
+                               save_mesh)
 
 
 @pytest.fixture(scope="module")
@@ -205,6 +206,27 @@ class TestExtract:
             assert err.count("FAILED") == 1
             assert f"FAILED {entry.shape_id}: {broken}" in err
             assert message in err and "Traceback" not in err
+
+    def test_overflowing_mesh_fails_that_shape(self, workspace, tmp_path,
+                                               capsys):
+        verts, faces = synth.icosphere(2)
+        entries = []
+        for shape_id, scale in (("huge", 1e160), ("unit", 1.0)):
+            save_mesh(tmp_path / f"{shape_id}.off",
+                      TriMesh(verts * scale, faces))
+            entries.append(ManifestEntry(shape_id, f"{shape_id}.off", 0,
+                                         "train"))
+        save_manifest(tmp_path / "manifest.tsv",
+                      DatasetManifest(entries, 1))
+        rc = main(["extract", "--manifest", str(tmp_path / "manifest.tsv"),
+                   "--config", str(workspace["cfg"]),
+                   "--cache", str(tmp_path / "cache")])
+        assert rc == 3
+        out, err = capsys.readouterr()
+        assert "extracted 1 shapes" in out
+        assert err.count("FAILED") == 1
+        assert "FAILED huge: " in err and "non-finite cotangent" in err
+        assert "Traceback" not in err
 
 
 @pytest.fixture(scope="module")

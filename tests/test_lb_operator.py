@@ -191,6 +191,13 @@ class TestSpectrum:
             with pytest.raises(DataError, match="need 1 <= k < 4"):
                 lb_spectrum(lap, mass, k)
 
+    @pytest.mark.parametrize("scale", [1e160, 1e200])
+    def test_overflowing_coordinates_rejected(self, scale):
+        # finite vertices whose squared edges and cross products overflow
+        mesh = icosphere_mesh(2, scale)
+        with pytest.raises(DataError, match="non-finite cotangent"):
+            mesh_spectrum(mesh, 20)
+
     @pytest.mark.parametrize("k", [4, 100])
     def test_mesh_spectrum_caps_k_below_vertex_count(self, tetra_mesh, k):
         spec = mesh_spectrum(tetra_mesh, k)

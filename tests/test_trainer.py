@@ -3,12 +3,14 @@ import logging
 import numpy as np
 import pytest
 
-from specpool import metric, spdm
+from specpool import metric, spdm, trainer
 from specpool.config import RunConfig
 from specpool.errors import DataError
 from specpool.trainer import (FeatureSet, build_triplets, gradcheck,
                               init_params, sgd_step, toy_problem, train,
                               triplet_count)
+
+from conftest import dense_sgd_step
 
 
 def static_features(rng, n_per_class, n_classes, dim):
@@ -103,6 +105,56 @@ class TestSGD:
         grads = {"omega": np.zeros(3), "W": np.array([[np.nan, 0], [0, 0]])}
         with pytest.raises(DataError, match="W"):
             sgd_step(params, grads, 1.0)
+        factored = {"omega": np.zeros(3),
+                    "W": metric.FactoredGrad(np.array([[np.nan, 0.0]]),
+                                             np.array([[1.0, 0.0]]))}
+        with pytest.raises(DataError, match="W"):
+            sgd_step(params, factored, 1.0)
+        assert np.array_equal(params["W"], np.zeros((2, 2)))
+
+    @staticmethod
+    def factored_grad(rng, batch, d_m, dim):
+        x = rng.normal(size=(batch, dim))
+        x /= np.linalg.norm(x, axis=1)[:, None]
+        return metric.FactoredGrad(rng.normal(size=(batch, d_m)), x)
+
+    @pytest.mark.parametrize("layout", ["c", "fortran", "strided"])
+    def test_factored_step_updates_w_in_place(self, layout):
+        rng = np.random.default_rng(9)
+        w = {"c": rng.normal(size=(4, 30)),
+             "fortran": np.asfortranarray(rng.normal(size=(4, 30))),
+             "strided": rng.normal(size=(4, 60))[:, ::2]}[layout]
+        grad = self.factored_grad(rng, 3, 4, 30)
+        expected = w - 0.5 * (grad.left.T @ grad.right)
+        params = {"W": w}
+        sgd_step(params, {"W": grad}, 0.5)
+        assert params["W"] is w
+        np.testing.assert_allclose(w, expected, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("batch", [1, 3, 8, 15])
+    def test_factored_step_matches_dense_update(self, batch):
+        # two full column blocks of the update and a partial third
+        dim = 2 * trainer.UPDATE_COLUMNS + 7
+        rng = np.random.default_rng(batch)
+        w = rng.normal(size=(32, dim))
+        grad = self.factored_grad(rng, batch, 32, dim)
+        expected = w - 0.3 * ((grad.left / batch).T @ grad.right)
+        grad.left[...] /= batch
+        params = sgd_step({"W": w}, {"W": grad}, 0.3)
+        err = np.linalg.norm(params["W"] - expected)
+        assert err <= 1e-14 * np.linalg.norm(expected)
+
+    @pytest.mark.parametrize("factor", ["left", "right"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_factor_names_block(self, factor, bad):
+        rng = np.random.default_rng(10)
+        w = rng.normal(size=(4, 30))
+        before = w.copy()
+        grad = self.factored_grad(rng, 3, 4, 30)
+        getattr(grad, factor)[1, 2] = bad
+        with pytest.raises(DataError, match="W"):
+            sgd_step({"W": w}, {"W": grad}, 0.5)
+        assert np.array_equal(w, before)
 
 
 class TestTrain:
@@ -162,8 +214,23 @@ class TestTrain:
         _, cache = metric.embed_rows(xs, params)
         dW, _ = metric.embed_rows_backward(np.concatenate([dfa, dfp, dfn]),
                                            params, cache)
-        expected = init["W"] - 0.1 * dW / len(trips)
+        expected = init["W"] - 0.1 * (dW.left.T @ dW.right) / len(trips)
         np.testing.assert_allclose(blocks["W"], expected, atol=1e-12)
+
+    @pytest.mark.parametrize("task", ["retrieval", "classification"])
+    def test_matches_dense_sgd_reference(self, task, monkeypatch):
+        feats = toy_problem()
+        cfg = self.small_config(task=task, epochs=3, learning_rate=0.05,
+                                batch_size=6)
+        blocks, log, _ = train(cfg, feats)
+        with monkeypatch.context() as m:
+            m.setattr(trainer, "sgd_step", dense_sgd_step)
+            ref, ref_log, _ = train(cfg, feats)
+        assert set(blocks) == set(ref)
+        assert len(log) == len(ref_log) == 3
+        for name in ref:
+            err = np.linalg.norm(blocks[name] - ref[name])
+            assert err <= 1e-12 * np.linalg.norm(ref[name]), name
 
     def test_stnet_mode_learns_omega(self):
         feats = toy_problem()
