@@ -188,6 +188,8 @@ def cmd_eval(args):
                               f"{meta.get('mode')!r}, not {mode!r}")
     elif mode == "stnet" or args.ablation in pipeline.TRAINED_ABLATIONS:
         raise _UsageError("this ablation needs --model")
+    if run.task == "classification" and (blocks is None or "C" not in blocks):
+        raise _UsageError("classification eval needs a trained model")
     manifest = load_manifest(args.manifest)
     cache = _cache(args)
     entries, records = _extract_split(manifest, "test", run, cache)
@@ -201,8 +203,6 @@ def cmd_eval(args):
         evaluation.export_ranked_lists(lists, out / "ranked_lists.tsv")
         print(table, end="")
     else:
-        if blocks is None or "C" not in blocks:
-            raise _UsageError("classification eval needs a trained model")
         preds, acc, _ = pipeline.classification_eval(features, blocks)
         with open(out / "predictions.tsv", "w") as fh:
             fh.write("shape_id\tlabel\tprediction\n")

@@ -12,7 +12,8 @@ from .errors import ConfigError
 from .metric import LOSS_VARIANTS
 from .spdm import FIXED_TRANSFORMS
 
-DESCRIPTORS = ("sihks_wks", "sihks", "wks", "hks", "lsf")
+SPECTRAL_DESCRIPTORS = ("sihks_wks", "sihks", "wks", "hks")
+DESCRIPTORS = SPECTRAL_DESCRIPTORS + ("lsf",)
 
 # numeric ranges: (fields, lowest bound, whether the bound itself is allowed)
 _RANGES = ((("batch_size", "epochs", "d_m", "n_mix", "n_points",

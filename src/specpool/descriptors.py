@@ -3,7 +3,9 @@
 Spectral descriptors (heat kernel signature, its scale-invariant variant,
 wave kernel signature) are computed from a truncated Laplace-Beltrami
 spectrum; the localized statistical feature histogram is computed on a
-sampled point cloud with normals.
+sampled point cloud with normals. Each has one fixed setting: SIHKS
+(Bronstein & Kokkinos 2010) gives 50 values per point, WKS (Aubry et al.
+2011) 100 and LSF 5**4 = 625.
 """
 
 import logging
@@ -19,7 +21,12 @@ logger = logging.getLogger(__name__)
 
 HKS_FLOOR = 1e-300  # clamp before log; avoids -inf on total underflow
 
-KINDS = ("hks", "sihks", "wks", "lsf", "concat")
+SIHKS_TAU_STEP = 1.0 / 16.0
+SIHKS_TAUS = 1.0 + np.arange(385) * SIHKS_TAU_STEP  # 1, 1 + 1/16, ..., 25
+SIHKS_TAUS.setflags(write=False)
+SIHKS_DIM = 50
+WKS_DIM = 100
+LSF_BINS = 5
 
 # neighbor pairs framed and binned per step; bounds the frame arrays of one
 # step to a few MB whatever the neighborhood size
@@ -31,17 +38,14 @@ class DescriptorField:
     """Per-point descriptor vectors: ``values`` is (n_points, dim)."""
 
     values: np.ndarray
-    kind: str
 
     def __post_init__(self):
         self.values = np.ascontiguousarray(self.values, dtype=np.float64)
         if self.values.ndim != 2:
             raise DataError(f"descriptor values must be 2-d, got shape "
                             f"{self.values.shape}")
-        if self.kind not in KINDS:
-            raise DataError(f"unknown descriptor kind {self.kind!r}")
         if not np.all(np.isfinite(self.values)):
-            raise DataError(f"non-finite {self.kind} descriptor values")
+            raise DataError("non-finite descriptor values")
 
     @property
     def n_points(self):
@@ -49,46 +53,15 @@ class DescriptorField:
 
 
 @dataclass
-class SIHKSParams:
-    """Log-time grid t = base**tau and output size of the Fourier step."""
-
-    base: float = 2.0
-    tau_min: float = 1.0
-    tau_max: float = 25.0
-    tau_step: float = 1.0 / 16.0
-    out_dim: int = 50
-
-    def taus(self):
-        if self.base <= 1.0:
-            raise DataError(f"log-time base must exceed 1, got {self.base}")
-        if self.tau_step <= 0 or self.tau_max <= self.tau_min:
-            raise DataError("bad tau grid")
-        steps = int(round((self.tau_max - self.tau_min) / self.tau_step))
-        return self.tau_min + np.arange(steps + 1) * self.tau_step
-
-
-@dataclass
-class WKSParams:
-    """Energy grid size and bandwidth; ``None`` fields are derived."""
-
-    dim: int = 100
-    sigma: float = None     # default 7 * grid step
-    energies: np.ndarray = None  # overrides the derived grid
-
-
-@dataclass
 class LSFParams:
-    """Neighborhood radius and histogram layout for the 4-tuple feature."""
+    """Neighborhood radius and neighbor cap for the 4-tuple feature."""
 
     radius: float
     neighbor_cap: int
-    bins_per_dim: int = 5
 
     def __post_init__(self):
         if self.radius <= 0:
             raise DataError(f"radius must be positive, got {self.radius}")
-        if self.bins_per_dim < 2:
-            raise DataError(f"need bins_per_dim >= 2, got {self.bins_per_dim}")
 
 
 def hks(spectrum, times):
@@ -100,41 +73,39 @@ def hks(spectrum, times):
         raise DataError("times must be positive and strictly ascending")
     decay = np.exp(-np.outer(spectrum.eigenvalues, times))
     values = (spectrum.eigenfunctions ** 2) @ decay
-    return DescriptorField(values, "hks")
+    return DescriptorField(values)
 
 
-def sihks(spectrum, params=None):
+def sihks(spectrum):
     """Scale-invariant HKS.
 
-    Sample HKS on the log-time grid, differentiate log HKS w.r.t. tau, and
-    keep the magnitudes of the first ``out_dim`` Fourier components. Scaling
-    the shape shifts the log-time profile, which the derivative plus the
-    Fourier magnitude cancel.
+    Sample HKS on the log-time grid ``SIHKS_TAUS``, differentiate log HKS
+    w.r.t. tau, and keep the magnitudes of the first ``SIHKS_DIM`` Fourier
+    components. Scaling the shape shifts the log-time profile, which the
+    derivative plus the Fourier magnitude cancel.
     """
-    params = params or SIHKSParams()
-    taus = params.taus()
-    if params.out_dim < 1 or params.out_dim > len(taus) - 1:
-        raise DataError(f"out_dim {params.out_dim} outside 1..{len(taus) - 1}")
-    h = hks(spectrum, params.base ** taus).values
+    h = hks(spectrum, 2.0 ** SIHKS_TAUS).values
     if np.any(h < HKS_FLOOR):
         bad = int(np.flatnonzero(np.any(h < HKS_FLOOR, axis=1))[0])
         logger.warning("heat signature underflow at point %d; clamped to %g",
                        bad, HKS_FLOOR)
         h = np.maximum(h, HKS_FLOOR)
-    deriv = np.diff(np.log(h), axis=1) / params.tau_step
-    mags = np.abs(np.fft.fft(deriv, axis=1))[:, :params.out_dim]
-    return DescriptorField(mags, "sihks")
+    deriv = np.diff(np.log(h), axis=1) / SIHKS_TAU_STEP
+    mags = np.abs(np.fft.fft(deriv, axis=1))[:, :SIHKS_DIM]
+    return DescriptorField(mags)
 
 
-def wks(spectrum, params=None):
+def wks(spectrum):
     """Wave kernel signature over a log-eigenvalue energy grid.
 
     WKS(s, e) = C_e sum_k phi_k(s)^2 exp(-(e - log lambda_k)^2 / (2 sigma^2))
-    with C_e normalizing each energy's weights to sum 1. Zero eigenvalues
-    (the constant mode, which ``lb_spectrum`` sets to exactly 0) are
-    excluded from the sum.
+    at ``WKS_DIM`` energies spanning the positive log-eigenvalues, with
+    sigma = 7 grid steps and C_e normalizing each energy's weights to sum 1.
+    No energy is more than 49.5 steps (7.07 sigma) from an end of the span,
+    so every total weight is at least exp(-25). Zero eigenvalues (the
+    constant mode, which ``lb_spectrum`` sets to exactly 0) are excluded;
+    one positive eigenvalue gives sigma = 0: every energy takes that mode.
     """
-    params = params or WKSParams()
     lam = spectrum.eigenvalues
     if lam[-1] <= 0.0:
         raise DataError("all eigenvalues zero: wave signature undefined")
@@ -142,30 +113,15 @@ def wks(spectrum, params=None):
     loglam = np.log(lam[pos])
     phi2 = spectrum.eigenfunctions[:, pos] ** 2
 
-    if params.energies is not None:
-        energies = np.asarray(params.energies, dtype=np.float64)
-    else:
-        if params.dim < 1:
-            raise DataError(f"need dim >= 1, got {params.dim}")
-        energies = np.linspace(loglam[0], loglam[-1], params.dim)
-    if params.sigma is not None:
-        sigma = float(params.sigma)
-    else:
-        step = (energies[-1] - energies[0]) / (len(energies) - 1) \
-            if len(energies) > 1 else 0.0
-        sigma = 7.0 * step
-
+    energies = np.linspace(loglam[0], loglam[-1], WKS_DIM)
+    sigma = 7.0 * ((energies[-1] - energies[0]) / (WKS_DIM - 1))
     gap = energies[None, :] - loglam[:, None]
     if sigma == 0.0:
         weights = (gap == 0.0).astype(np.float64)
     else:
         with np.errstate(over="ignore"):
             weights = np.exp(-0.5 * (gap / sigma) ** 2)
-    wsum = weights.sum(axis=0)
-    if np.any(wsum == 0.0):
-        bad = float(energies[int(np.argmin(wsum))])
-        raise DataError(f"energy {bad:g} has zero total weight; widen sigma")
-    return DescriptorField(phi2 @ (weights / wsum), "wks")
+    return DescriptorField(phi2 @ (weights / weights.sum(axis=0)))
 
 
 def lsf(cloud, params, seed=0):
@@ -179,7 +135,7 @@ def lsf(cloud, params, seed=0):
         beta3 = u . (p2-p1) / |p2-p1|
         beta4 = |p2-p1|
 
-    Tuples fill a joint histogram with ``bins_per_dim`` bins per coordinate
+    Tuples fill a joint histogram with ``LSF_BINS`` bins per coordinate
     (raw counts). Pairs with |p2-p1| = 0 or p2-p1 parallel to n1 have no
     frame and are skipped. Dense neighborhoods are subsampled to
     ``neighbor_cap`` with a per-point stream derived from ``seed``.
@@ -193,7 +149,7 @@ def lsf(cloud, params, seed=0):
     nrm = cloud.normals
     n = len(pts)
     radius = params.radius
-    nbins = params.bins_per_dim
+    nbins = LSF_BINS
     dim = nbins ** 4
 
     # bin layout: right-closed intervals, exact left edge falls in bin 0
@@ -236,7 +192,7 @@ def lsf(cloud, params, seed=0):
     if empty:
         logger.warning("%d of %d points have no neighbors within radius %g",
                        empty, n, radius)
-    return DescriptorField(counts.reshape(n, dim), "lsf")
+    return DescriptorField(counts.reshape(n, dim))
 
 
 def _cap_neighbors(src, dst, degree, cap, seed):
@@ -267,5 +223,4 @@ def concat(fields):
         raise DataError(f"mismatched point counts: {sorted(counts)}")
     if len(fields) == 1:
         return fields[0]
-    return DescriptorField(np.concatenate([f.values for f in fields], axis=1),
-                           "concat")
+    return DescriptorField(np.concatenate([f.values for f in fields], axis=1))

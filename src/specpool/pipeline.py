@@ -16,14 +16,13 @@ import numpy as np
 
 from . import descriptors, evaluation, lb_operator, metric, pooling, spdm, \
     trainer
+from .config import SPECTRAL_DESCRIPTORS
 from .errors import DataError, SpecpoolError
 from .rng import substream
 from .shape_io import (PointCloud, bounding_sphere_diameter, load_mesh,
                        mesh_file_hash, sample_points)
 
 logger = logging.getLogger(__name__)
-
-SPECTRAL_DESCRIPTORS = ("sihks_wks", "sihks", "wks", "hks")
 
 ABLATIONS = ("surf_o1", "surf_o2", "surf_o1_ml", "surf_o2_ml", "st_net")
 
@@ -135,12 +134,11 @@ def extract_shape(entry, manifest, run, cache):
                                               rec["mass"])
             rec = cached("descriptor", dparams, lambda: {
                 "values": _spectral_field(spectrum, run).values})
-            field = descriptors.DescriptorField(rec["values"], "concat")
             weights = pooling.mesh_weights(spectrum.mass)
         else:
             rec = cached("descriptor", dparams, compute_lsf)
-            field = descriptors.DescriptorField(rec["values"], "lsf")
             weights = pooling.cloud_weights(run.n_points)
+        field = descriptors.DescriptorField(rec["values"])
         pooled = pooling.pool_second_order(field, weights)
         return {"H": pooled.H,
                 "o1": pooling.pool_first_order(field, weights)}

@@ -381,7 +381,7 @@ def sample_points(mesh, n, seed):
 # ---------------------------------------------------------------------------
 # manifests
 
-def load_manifest(path, class_count=None):
+def load_manifest(path):
     """Parse a manifest: ``shape_id<TAB>relpath<TAB>label<TAB>split`` lines."""
     path = Path(path)
     if not path.exists():
@@ -410,15 +410,7 @@ def load_manifest(path, class_count=None):
         entries.append(ManifestEntry(shape_id, relpath, label, split))
     if not entries:
         raise ManifestError(f"{path}: manifest is empty")
-    inferred = max(e.label for e in entries) + 1
-    if class_count is None:
-        class_count = inferred
-    elif inferred > class_count:
-        bad = next(e for e in entries if e.label >= class_count)
-        raise ManifestError(
-            f"label {bad.label} of shape {bad.shape_id!r} out of range for "
-            f"class_count {class_count}"
-        )
+    class_count = max(e.label for e in entries) + 1
     return DatasetManifest(entries, class_count, root=path.parent)
 
 

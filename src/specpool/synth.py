@@ -32,7 +32,6 @@ class SynthSpec:
     instances_per_class: int = 20
     resolution: int = 1500       # target vertex count per mesh
     amplitude: float = 0.06     # displacement relative to shape scale
-    scale: float = DEFAULT_SCALE
     seed: int = 0
 
     def __post_init__(self):
@@ -199,7 +198,7 @@ def _deform(verts, faces, rng, amplitude):
     return verts + disp[:, None] * normals
 
 
-def make_instance(kind, resolution, amplitude, scale, rng):
+def make_instance(kind, resolution, amplitude, rng):
     """One deformed, rigidly moved instance of a class.
 
     A deformation that degenerates any triangle is retried at half
@@ -219,7 +218,7 @@ def make_instance(kind, resolution, amplitude, scale, rng):
     else:
         raise DataError(f"could not generate a valid {kind} instance")
     verts = verts @ _random_rotation(rng).T
-    verts = (verts + rng.uniform(-0.5, 0.5, size=3)) * scale
+    verts = (verts + rng.uniform(-0.5, 0.5, size=3)) * DEFAULT_SCALE
     return TriMesh(verts, faces)
 
 
@@ -235,8 +234,7 @@ def generate(spec, out_dir):
     for label, kind in enumerate(spec.classes):
         for i in range(spec.instances_per_class):
             rng = substream(spec.seed, "shape", kind, i)
-            mesh = make_instance(kind, spec.resolution, spec.amplitude,
-                                 spec.scale, rng)
+            mesh = make_instance(kind, spec.resolution, spec.amplitude, rng)
             shape_id = f"{kind}_{i:03d}"
             relpath = f"{shape_id}.off"
             save_mesh(out_dir / relpath, mesh)

@@ -106,17 +106,12 @@ def build_triplets(labels, batch_size, seed, epoch, t_max=None):
     When the number of valid triplets is at most ``t_max`` they are all
     enumerated and shuffled; otherwise ``t_max`` triplets are drawn
     uniformly (anchors weighted by their valid pair counts). Classes with
-    a single member cannot anchor and are logged once.
+    a single member cannot anchor; ``train`` logs them once per run.
     """
     labels = np.asarray(labels)
-    n = len(labels)
     uniq, counts = np.unique(labels, return_counts=True)
     if len(uniq) < 2:
         raise DataError("triplets need at least two classes")
-    singles = uniq[counts < 2]
-    if len(singles):
-        logger.warning("classes %s have a single member and only serve "
-                       "as negatives", singles.tolist())
     class_count = dict(zip(uniq.tolist(), counts.tolist()))
     anchor_ok = np.array([class_count[l] >= 2 for l in labels.tolist()])
     if not anchor_ok.any():
@@ -282,6 +277,10 @@ def train(config, features, n_classes=None):
         n_classes = int(features.labels.max()) + 1
     if config.task == "retrieval":
         n_classes = None
+        uniq, counts = np.unique(features.labels, return_counts=True)
+        if np.any(counts < 2):
+            logger.warning("classes %s have a single member and only serve "
+                           "as negatives", uniq[counts < 2].tolist())
 
     blocks = init_params(config, features, n_classes)
     best, stale = np.inf, 0
@@ -321,15 +320,20 @@ def train(config, features, n_classes=None):
 # ---------------------------------------------------------------------------
 # gradient checking
 
+# central-difference step and the largest relative error a block may show
+GRADCHECK_STEP = 1e-5
+GRADCHECK_THRESHOLD = 1e-5
+
+
 @dataclass
 class GradcheckReport:
     block_errors: dict
-    threshold: float
     wall_s: float
 
     @property
     def passed(self):
-        return all(e < self.threshold for e in self.block_errors.values())
+        return all(e < GRADCHECK_THRESHOLD
+                   for e in self.block_errors.values())
 
     @property
     def max_error(self):
@@ -337,10 +341,10 @@ class GradcheckReport:
 
     def format(self):
         lines = [f"gradient check vs central differences "
-                 f"(threshold {self.threshold:g})"]
+                 f"(threshold {GRADCHECK_THRESHOLD:g})"]
         for name in sorted(self.block_errors):
             err = self.block_errors[name]
-            verdict = "ok" if err < self.threshold else "FAIL"
+            verdict = "ok" if err < GRADCHECK_THRESHOLD else "FAIL"
             lines.append(f"  {name:<6} max rel err {err:.3e}  {verdict}")
         lines.append(f"overall: {'PASS' if self.passed else 'FAIL'} "
                      f"({self.wall_s:.2f} s)")
@@ -373,7 +377,7 @@ def _loss_only(features, blocks, batch, config):
     return loss
 
 
-def gradcheck(seed=11, h=1e-5, threshold=1e-5):
+def gradcheck(seed=11):
     """Compare analytic gradients with central finite differences.
 
     Runs the retrieval objective (omega and W blocks) and the
@@ -393,7 +397,7 @@ def gradcheck(seed=11, h=1e-5, threshold=1e-5):
         np.ones(features.n_shapes, dtype=bool))
     blocks = init_params(retrieval_cfg, features)
     _accumulate_block_errors(errors, features, blocks, all_trips,
-                             retrieval_cfg, h, "retr")
+                             retrieval_cfg, "retr")
 
     classify_cfg = RunConfig(task="classification", batch_size=8,
                              learning_rate=1.0, epochs=1, seed=seed, d_m=6,
@@ -402,11 +406,11 @@ def gradcheck(seed=11, h=1e-5, threshold=1e-5):
                          n_classes=int(features.labels.max()) + 1)
     batch = np.arange(features.n_shapes)
     _accumulate_block_errors(errors, features, blocks, batch,
-                             classify_cfg, h, "clf")
-    return GradcheckReport(errors, threshold, time.perf_counter() - t0)
+                             classify_cfg, "clf")
+    return GradcheckReport(errors, time.perf_counter() - t0)
 
 
-def _accumulate_block_errors(errors, features, blocks, batch, config, h, tag):
+def _accumulate_block_errors(errors, features, blocks, batch, config, tag):
     _, grads = _batch_forward_backward(features, blocks, batch, config)
     for name, grad in grads.items():
         if isinstance(grad, metric.FactoredGrad):
@@ -417,12 +421,12 @@ def _accumulate_block_errors(errors, features, blocks, batch, config, h, tag):
         for _ in it:
             idx = it.multi_index
             keep = theta[idx]
-            theta[idx] = keep + h
+            theta[idx] = keep + GRADCHECK_STEP
             up = _loss_only(features, blocks, batch, config)
-            theta[idx] = keep - h
+            theta[idx] = keep - GRADCHECK_STEP
             down = _loss_only(features, blocks, batch, config)
             theta[idx] = keep
-            fd = (up - down) / (2.0 * h)
+            fd = (up - down) / (2.0 * GRADCHECK_STEP)
             a = grad[idx]
             worst = max(worst, abs(a - fd) / max(abs(a), abs(fd), 1e-10))
         key = f"{name}[{tag}]"

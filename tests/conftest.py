@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg
 from scipy.spatial import cKDTree
 
-from specpool.descriptors import DescriptorField
+from specpool.descriptors import LSF_BINS, DescriptorField
 from specpool.errors import DataError
 from specpool.metric import FactoredGrad
 from specpool.rng import substream
@@ -195,7 +195,7 @@ def lsf_reference(cloud, params, seed=0):
     nrm = cloud.normals
     n = len(pts)
     radius = params.radius
-    nbins = params.bins_per_dim
+    nbins = LSF_BINS
     dim = nbins ** 4
     lows = np.array([-np.pi, -1.0, -1.0, 0.0])
     spans = np.array([2.0 * np.pi, 2.0, 2.0, radius])
@@ -234,4 +234,4 @@ def lsf_reference(cloud, params, seed=0):
         flat = ((bins[:, 0] * nbins + bins[:, 1]) * nbins
                 + bins[:, 2]) * nbins + bins[:, 3]
         values[i] = np.bincount(flat, minlength=dim)
-    return DescriptorField(values, "lsf")
+    return DescriptorField(values)

@@ -39,7 +39,8 @@ from specpool.pooling import (cloud_weights, mesh_weights,
                               pool_second_order)
 from specpool.shape_io import TriMesh, load_manifest
 from specpool.spdm import FIXED_TRANSFORMS, mpf_eval, mpf_q_matrix, power_grid
-from specpool.trainer import FeatureSet, gradcheck, train
+from specpool.trainer import (GRADCHECK_THRESHOLD, FeatureSet, gradcheck,
+                              train)
 
 pytestmark = pytest.mark.slow
 
@@ -125,13 +126,13 @@ class TestA1Gradients:
         verdict(
             "A1", report.passed and elapsed < 30.0 and not corrupt.passed,
             f"max rel err {report.max_error:.2e} (threshold "
-            f"{report.threshold:g}), {elapsed:.1f}s; corrupted scatter "
+            f"{GRADCHECK_THRESHOLD:g}), {elapsed:.1f}s; corrupted scatter "
             f"detected: {not corrupt.passed}")
         assert report.passed, report.format()
         assert elapsed < 30.0
         # a wrong off-diagonal gradient scatter must be caught
         assert not corrupt.passed
-        assert corrupt.max_error >= report.threshold
+        assert corrupt.max_error >= GRADCHECK_THRESHOLD
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +173,7 @@ class TestA3PoolingOracle:
             s = int(rng.integers(1, 51))
             h = rng.normal(size=(s, d)) * rng.uniform(0.5, 20.0)
             areas = rng.uniform(0.1, 3.0, size=s)
-            pooled = pool_second_order(DescriptorField(h, "hks"),
+            pooled = pool_second_order(DescriptorField(h),
                                        mesh_weights(areas))
             pi = areas / areas.sum()
             oracle = np.zeros((d, d))
@@ -188,7 +189,7 @@ class TestA3PoolingOracle:
     def test_uniform_mesh_equals_cloud_exactly(self):
         rng = np.random.default_rng(33)
         h = rng.normal(size=(37, 9))
-        field = DescriptorField(h, "wks")
+        field = DescriptorField(h)
         via_mesh = pool_second_order(field, mesh_weights(np.full(37, 2.5)))
         via_cloud = pool_second_order(field, cloud_weights(37))
         ok = verdict("A3", np.array_equal(via_mesh.H, via_cloud.H),

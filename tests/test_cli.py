@@ -415,13 +415,27 @@ class TestClassification:
         assert (tmp_path / "eval" / "report.tsv").read_text() \
             .startswith("accuracy\t")
 
-    def test_needs_model(self, workspace, tmp_path, capsys):
+    def eval_without_classifier(self, workspace, tmp_path, *extra):
         cfg = tmp_path / "clf.cfg"
         cfg.write_text("task = classification\nk_eig = 20\n")
         rc = main(["eval", "--manifest", str(workspace["split"]),
-                   "--config", str(cfg), "--cache", str(workspace["cache"]),
-                   "--ablation", "surf_o2", "--out", str(tmp_path)])
+                   "--config", str(cfg), "--cache", str(tmp_path / "cache"),
+                   "--ablation", "surf_o2", "--out", str(tmp_path / "out"),
+                   *extra])
         assert rc == 1
+        # the check runs before extraction: no cache record, no --out
+        assert not (tmp_path / "cache").exists()
+        assert not (tmp_path / "out").exists()
+
+    def test_needs_model(self, workspace, tmp_path, capsys):
+        self.eval_without_classifier(workspace, tmp_path)
+        assert "trained model" in capsys.readouterr().err
+
+    def test_model_without_classifier(self, workspace, tmp_path, capsys):
+        metric.save_model(tmp_path / "m.npz", {"W": np.zeros((2, 5))},
+                          {"mode": "o2"})
+        self.eval_without_classifier(workspace, tmp_path,
+                                     "--model", str(tmp_path / "m.npz"))
         assert "trained model" in capsys.readouterr().err
 
 

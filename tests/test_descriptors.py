@@ -6,8 +6,8 @@ import pytest
 from scipy.spatial import cKDTree
 
 from specpool import descriptors, synth
-from specpool.descriptors import (DescriptorField, LSFParams, SIHKSParams,
-                                  WKSParams, concat, hks, lsf, sihks, wks)
+from specpool.descriptors import (SIHKS_TAUS, DescriptorField, LSFParams,
+                                  concat, hks, lsf, sihks, wks)
 from specpool.errors import DataError
 from specpool.lb_operator import LBSpectrum, mesh_spectrum
 from specpool.config import RunConfig
@@ -73,22 +73,22 @@ class TestHKS:
 
 class TestSIHKS:
     def test_tau_grid(self):
-        taus = SIHKSParams().taus()
+        taus = SIHKS_TAUS
+        assert not taus.flags.writeable
         assert len(taus) == 385
         assert taus[0] == 1.0 and taus[-1] == 25.0
         np.testing.assert_allclose(np.diff(taus), 1.0 / 16.0, rtol=1e-12)
 
     def test_matches_direct_pipeline(self, sphere_spectrum):
-        # log-sample, differentiate, naive DFT magnitudes
-        params = SIHKSParams(out_dim=10)
-        out = sihks(sphere_spectrum, params).values
-        taus = params.taus()
-        h = hks(sphere_spectrum, 2.0 ** taus).values
-        n = len(taus) - 1
+        # log-sample t = 2**(1 + j/16), differentiate, naive DFT magnitudes
+        out = sihks(sphere_spectrum).values
+        assert out.shape == (len(sphere_spectrum.mass), 50)
+        h = hks(sphere_spectrum, 2.0 ** (1.0 + np.arange(385) / 16.0)).values
+        n = 384
         for s in (0, 13):
             logh = np.log(h[s])
             deriv = [(logh[j + 1] - logh[j]) * 16.0 for j in range(n)]
-            for k in range(10):
+            for k in range(50):
                 acc = sum(deriv[j] * complex(math.cos(2 * math.pi * k * j / n),
                                              -math.sin(2 * math.pi * k * j / n))
                           for j in range(n))
@@ -96,8 +96,8 @@ class TestSIHKS:
 
     def test_constant_heat_signature_maps_to_zero(self):
         spec = make_spectrum([0.0], [[1.0], [2.0]])
-        out = sihks(spec, SIHKSParams(out_dim=5))
-        assert np.array_equal(out.values, np.zeros((2, 5)))
+        out = sihks(spec)
+        assert np.array_equal(out.values, np.zeros((2, 50)))
 
     def test_scale_invariance(self):
         verts, faces = synth.icosphere(2)
@@ -109,50 +109,29 @@ class TestSIHKS:
     def test_underflow_warning(self, caplog):
         spec = make_spectrum([50.0], [[1.0]])
         with caplog.at_level(logging.WARNING, logger="specpool"):
-            out = sihks(spec, SIHKSParams(out_dim=5))
+            out = sihks(spec)
         assert "underflow" in caplog.text
         assert np.all(np.isfinite(out.values))
-
-    def test_out_dim_range(self, sphere_spectrum):
-        with pytest.raises(DataError):
-            sihks(sphere_spectrum, SIHKSParams(out_dim=0))
-        with pytest.raises(DataError):
-            sihks(sphere_spectrum, SIHKSParams(out_dim=385))
-
-    def test_bad_grid_params(self):
-        with pytest.raises(DataError):
-            SIHKSParams(base=1.0).taus()
-        with pytest.raises(DataError):
-            SIHKSParams(tau_step=0.0).taus()
-        with pytest.raises(DataError):
-            SIHKSParams(tau_min=5.0, tau_max=4.0).taus()
 
 
 class TestWKS:
     def test_single_positive_mode(self):
         spec = make_spectrum([0.0, 4.0], [[1.0, 0.5], [1.0, -1.5]])
-        out = wks(spec, WKSParams(dim=3)).values
-        # one energy node: grid degenerates, every column equals phi^2
+        out = wks(spec).values
+        # one energy node: grid degenerates to sigma = 0, every column
+        # equals phi^2
         np.testing.assert_allclose(out, np.array([[0.25], [2.25]])
-                                   @ np.ones((1, 3)), rtol=1e-15)
-
-    def test_sigma_zero_exact_match(self):
-        spec = make_spectrum([0.0, np.e, np.e ** 2],
-                             [[1.0, 2.0, 3.0], [1.0, -1.0, 0.5]])
-        out = wks(spec, WKSParams(sigma=0.0,
-                                  energies=np.array([1.0, 2.0]))).values
-        np.testing.assert_allclose(out, [[4.0, 9.0], [1.0, 0.25]],
-                                   rtol=1e-15)
+                                   @ np.ones((1, 100)), rtol=1e-15)
 
     def test_matches_direct_sum(self, sphere_spectrum):
-        params = WKSParams(dim=20)
-        out = wks(sphere_spectrum, params).values
+        out = wks(sphere_spectrum).values
+        assert out.shape == (len(sphere_spectrum.mass), 100)
         lam = sphere_spectrum.eigenvalues
         pos = lam > lam[-1] * 1e-12
         loglam = np.log(lam[pos])
         phi2 = sphere_spectrum.eigenfunctions[:, pos] ** 2
-        energies = np.linspace(loglam[0], loglam[-1], 20)
-        sigma = 7.0 * (energies[-1] - energies[0]) / 19.0
+        energies = np.linspace(loglam[0], loglam[-1], 100)
+        sigma = 7.0 * (energies[-1] - energies[0]) / 99.0
         for s in (0, 11):
             for e_idx, e in enumerate(energies):
                 w = np.exp(-0.5 * ((e - loglam) / sigma) ** 2)
@@ -172,14 +151,8 @@ class TestWKS:
         # it must not leak into the energy grid
         spec = make_spectrum([0.0, 1.0, 4.0],
                              [[5.0, 1.0, 0.0], [5.0, 0.0, 1.0]])
-        out = wks(spec, WKSParams(dim=4)).values
+        out = wks(spec).values
         assert np.all(out <= 1.0 + 1e-12)
-
-    def test_zero_weight_energy(self):
-        spec = make_spectrum([0.0, 1.0], [[1.0, 1.0]])
-        with pytest.raises(DataError, match="zero total weight"):
-            wks(spec, WKSParams(sigma=1e-3,
-                                energies=np.array([1000.0])))
 
     def test_all_zero_eigenvalues(self):
         spec = make_spectrum([0.0, 0.0], [[1.0, 1.0]])
@@ -298,7 +271,7 @@ class TestLSF:
         assert np.array_equal(out.values, np.zeros((2, 625)))
 
     def test_matches_reference_on_synth_cloud(self, monkeypatch, caplog):
-        mesh = synth.make_instance("capsule", 600, 0.06, synth.DEFAULT_SCALE,
+        mesh = synth.make_instance("capsule", 600, 0.06,
                                    np.random.default_rng(5))
         cloud = sample_points(mesh, 3000, 5)
         pts, nrm = cloud.points.copy(), cloud.normals.copy()
@@ -340,22 +313,19 @@ class TestLSF:
     def test_bad_params(self):
         with pytest.raises(DataError):
             LSFParams(radius=-1.0, neighbor_cap=512)
-        with pytest.raises(DataError):
-            LSFParams(radius=1.0, neighbor_cap=512, bins_per_dim=1)
 
 
 class TestConcatAndField:
     def test_concat_dims(self):
-        a = DescriptorField(np.ones((4, 50)), "sihks")
-        b = DescriptorField(np.full((4, 100), 2.0), "wks")
+        a = DescriptorField(np.ones((4, 50)))
+        b = DescriptorField(np.full((4, 100), 2.0))
         out = concat([a, b])
-        assert out.kind == "concat"
         assert out.values.shape == (4, 150)
         assert np.array_equal(out.values[:, :50], a.values)
         assert np.array_equal(out.values[:, 50:], b.values)
 
     def test_concat_single_identity(self):
-        a = DescriptorField(np.ones((3, 5)), "hks")
+        a = DescriptorField(np.ones((3, 5)))
         assert concat([a]) is a
 
     def test_concat_empty(self):
@@ -363,15 +333,13 @@ class TestConcatAndField:
             concat([])
 
     def test_concat_mismatched_points(self):
-        a = DescriptorField(np.ones((3, 5)), "hks")
-        b = DescriptorField(np.ones((4, 5)), "wks")
+        a = DescriptorField(np.ones((3, 5)))
+        b = DescriptorField(np.ones((4, 5)))
         with pytest.raises(DataError, match="mismatched"):
             concat([a, b])
 
     def test_field_validation(self):
         with pytest.raises(DataError):
-            DescriptorField(np.ones(5), "hks")
+            DescriptorField(np.ones(5))
         with pytest.raises(DataError):
-            DescriptorField(np.ones((2, 2)), "nope")
-        with pytest.raises(DataError):
-            DescriptorField(np.array([[np.nan, 1.0]]), "hks")
+            DescriptorField(np.array([[np.nan, 1.0]]))

@@ -9,7 +9,7 @@ from specpool.pooling import (PooledSPD, PoolWeights, cloud_weights,
 
 
 def field_of(values):
-    return DescriptorField(np.asarray(values, dtype=np.float64), "hks")
+    return DescriptorField(np.asarray(values, dtype=np.float64))
 
 
 class TestWeights:

@@ -77,7 +77,6 @@ class TestSpecValidation:
         spec = SynthSpec()
         assert spec.classes == ("sphere", "ellipsoid", "torus", "capsule")
         assert spec.instances_per_class == 20
-        assert spec.scale == 256.0
 
     @pytest.mark.parametrize("kw", [dict(classes=("sphere",)),
                                     dict(classes=("sphere", "cube")),
@@ -93,7 +92,7 @@ class TestSpecValidation:
 class TestInstances:
     def test_scale_applied(self):
         rng = substream(0, "shape", "sphere", 0)
-        mesh = make_instance("sphere", 200, 0.05, 256.0, rng)
+        mesh = make_instance("sphere", 200, 0.05, rng)
         r = np.linalg.norm(mesh.vertices, axis=1)
         assert 0.3 * 256 < r.max() < 3 * 256
 
@@ -102,13 +101,13 @@ class TestInstances:
         specs = []
         for i in range(2):
             rng = substream(3, "shape", "sphere", i)
-            mesh = make_instance("sphere", 200, 0.0, 64.0, rng)
+            mesh = make_instance("sphere", 200, 0.0, rng)
             specs.append(mesh_spectrum(mesh, 10).eigenvalues)
         np.testing.assert_allclose(specs[0][1:], specs[1][1:], rtol=1e-9)
 
     def test_deformed_instances_differ(self):
         rngs = [substream(3, "shape", "sphere", i) for i in range(2)]
-        meshes = [make_instance("sphere", 200, 0.06, 64.0, r) for r in rngs]
+        meshes = [make_instance("sphere", 200, 0.06, r) for r in rngs]
         a = mesh_spectrum(meshes[0], 10).eigenvalues
         b = mesh_spectrum(meshes[1], 10).eigenvalues
         assert np.abs(a[1:] - b[1:]).max() > 1e-6 * np.abs(a[1:]).max()
@@ -120,8 +119,7 @@ class TestInstances:
         for label, kind in enumerate(spec.classes):
             for i in range(4):
                 rng = substream(spec.seed, "shape", kind, i)
-                mesh = make_instance(kind, 200, spec.amplitude, spec.scale,
-                                     rng)
+                mesh = make_instance(kind, 200, spec.amplitude, rng)
                 ev = mesh_spectrum(mesh, 20).eigenvalues
                 vecs.append(ev[1:] / ev[1])
                 labels.append(label)

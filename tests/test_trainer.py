@@ -69,11 +69,19 @@ class TestTriplets:
             assert labels[a] == labels[p] != labels[g] and a != p
 
     def test_singleton_class_logged(self, caplog):
+        # once per training run, not once per epoch
         labels = np.array([0, 0, 1])
+        rows = np.random.default_rng(5).normal(size=(3, 4))
+        feats = FeatureSet(["a", "b", "c"], labels,
+                           [row[:, None] for row in rows])
+        cfg = RunConfig(task="retrieval", batch_size=4, learning_rate=0.05,
+                        margin=1.0, eta=0.1, epochs=3, d_m=2)
         with caplog.at_level(logging.WARNING, logger="specpool"):
-            batches = build_triplets(labels, 4, seed=0, epoch=0)
-        assert "single member" in caplog.text
-        trips = np.concatenate(batches)
+            _, log, _ = train(cfg, feats)
+        assert len(log) == 3
+        assert sum("single member" in r.getMessage()
+                   for r in caplog.records) == 1
+        trips = np.concatenate(build_triplets(labels, 4, seed=0, epoch=0))
         assert set(trips[:, 0].tolist()) <= {0, 1}
 
     def test_errors(self):
