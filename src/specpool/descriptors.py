@@ -142,8 +142,8 @@ def lsf(cloud, params, seed=0):
 
     All neighbor pairs come from one k-d tree query as one array of
     directed (p1, p2) index pairs; frames, tuples and bins are computed on
-    slices of ``PAIR_CHUNK`` pairs, and each slice is counted into every
-    point's histogram with one ``bincount``.
+    slices of ``PAIR_CHUNK`` pairs, and the (point, bin) keys of all slices
+    are counted into every point's histogram with one ``bincount``.
     """
     pts = cloud.points
     nrm = cloud.normals
@@ -163,7 +163,7 @@ def lsf(cloud, params, seed=0):
     degree = np.bincount(src, minlength=n)
     src, dst = _cap_neighbors(src, dst, degree, params.neighbor_cap, seed)
 
-    counts = np.zeros(n * dim, dtype=np.int64)
+    keys = [np.empty(0, dtype=np.int64)]
     for start in range(0, len(src), PAIR_CHUNK):
         i = src[start:start + PAIR_CHUNK]
         j = dst[start:start + PAIR_CHUNK]
@@ -187,7 +187,8 @@ def lsf(cloud, params, seed=0):
         np.clip(bins, 0, nbins - 1, out=bins)
         flat = ((bins[:, 0] * nbins + bins[:, 1]) * nbins
                 + bins[:, 2]) * nbins + bins[:, 3]
-        counts += np.bincount(i * dim + flat, minlength=n * dim)
+        keys.append(i * dim + flat)
+    counts = np.bincount(np.concatenate(keys), minlength=n * dim)
     empty = int(np.count_nonzero(degree == 0))
     if empty:
         logger.warning("%d of %d points have no neighbors within radius %g",

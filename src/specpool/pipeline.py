@@ -76,6 +76,11 @@ def _spectral_field(spectrum, run):
     lam_top = spectrum.eigenvalues[-1]
     lam_low = max(spectrum.eigenvalues[1], lam_top * 1e-6)
     times = np.geomspace(4.0 / lam_top, 4.0 / lam_low, _HKS_DEFAULT_TIMES)
+    # lambda_1 and lambda_top equal to round-off collapse the grid
+    if np.any(np.diff(times) <= 0.0):
+        raise DataError("HKS needs two distinct positive eigenvalues among "
+                        f"the k_eig = {run.k_eig} retained modes; they span "
+                        f"only {lam_low:.6g} to {lam_top:.6g}")
     return descriptors.hks(spectrum, times)
 
 

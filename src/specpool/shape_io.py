@@ -334,10 +334,9 @@ def save_mesh(path, mesh):
         raise MeshFormatError(path, f"cannot write mesh extension {ext!r}; "
                                     "use .off")
     v, f = mesh.vertices, mesh.faces
-    out = ["OFF", f"{len(v)} {len(f)} 0"]
-    out.extend("%.17g %.17g %.17g" % tuple(p) for p in v)
-    out.extend("3 %d %d %d" % tuple(t) for t in f)
-    path.write_text("\n".join(out) + "\n")
+    vtext = ("%.17g %.17g %.17g\n" * len(v)) % tuple(v.ravel().tolist())
+    ftext = ("3 %d %d %d\n" * len(f)) % tuple(f.ravel().tolist())
+    path.write_text(f"OFF\n{len(v)} {len(f)} 0\n{vtext}{ftext}")
 
 
 # ---------------------------------------------------------------------------

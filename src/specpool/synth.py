@@ -71,7 +71,9 @@ def icosahedron():
 def icosphere(level):
     """Subdivided icosahedron projected to the unit sphere.
 
-    Vertex counts by level: 12, 42, 162, 642, 2562, ...
+    Vertex counts by level: 12, 42, 162, 642, 2562, ... Each level keeps
+    the vertices of the one before and appends its edge midpoints
+    (``_subdivide``), so vertex and face order are fixed by the level.
     """
     verts, faces = icosahedron()
     for _ in range(level):
@@ -81,22 +83,28 @@ def icosphere(level):
 
 
 def _subdivide(verts, faces):
-    verts = list(map(tuple, verts))
-    midpoint = {}
+    """Split every face into four at its edge midpoints.
 
-    def mid(i, j):
-        key = (min(i, j), max(i, j))
-        if key not in midpoint:
-            v = 0.5 * (np.array(verts[i]) + np.array(verts[j]))
-            midpoint[key] = len(verts)
-            verts.append(tuple(v))
-        return midpoint[key]
-
-    out = []
-    for a, b, c in faces:
-        ab, bc, ca = mid(a, b), mid(b, c), mid(c, a)
-        out.extend([(a, ab, ca), (b, bc, ab), (c, ca, bc), (ab, bc, ca)])
-    return np.array(verts, dtype=np.float64), np.array(out, dtype=np.int64)
+    The input vertices keep their indices. Midpoint vertices follow them,
+    numbered in the order their edges are first met walking the faces and,
+    within a face (a, b, c), the edges ab, bc, ca; each is 0.5 * (v_i + v_j),
+    the same in either orientation. Face (a, b, c) becomes (a, ab, ca),
+    (b, bc, ab), (c, ca, bc), (ab, bc, ca), in that order.
+    """
+    n = len(verts)
+    edges = faces[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
+    keys = edges.min(axis=1) * n + edges.max(axis=1)
+    _, first, inverse = np.unique(keys, return_index=True,
+                                  return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    ends = edges[first[order]]
+    mids = 0.5 * (verts[ends[:, 0]] + verts[ends[:, 1]])
+    ab, bc, ca = (n + rank[inverse]).reshape(-1, 3).T
+    a, b, c = faces.T
+    out = np.stack([a, ab, ca, b, bc, ab, c, ca, bc, ab, bc, ca], axis=1)
+    return np.concatenate([verts, mids]), out.reshape(-1, 3)
 
 
 def icosphere_level_for(target_vertices):
@@ -109,6 +117,13 @@ def icosphere_level_for(target_vertices):
 
 
 def torus_mesh(n_major, n_minor, major_radius=1.0, minor_radius=0.35):
+    """Torus sampled on an ``n_major`` x ``n_minor`` angle grid.
+
+    Grid point (i, j) is vertex i * n_minor + j. Each cell, in row-major
+    (i, j) order, gives the faces (a, b, c) and (a, c, d) with a = (i, j),
+    b = (i + 1, j), c = (i + 1, j + 1) and d = (i, j + 1), indices modulo
+    the grid.
+    """
     u = 2.0 * np.pi * np.arange(n_major) / n_major
     v = 2.0 * np.pi * np.arange(n_minor) / n_minor
     uu, vv = np.meshgrid(u, v, indexing="ij")
@@ -116,16 +131,13 @@ def torus_mesh(n_major, n_minor, major_radius=1.0, minor_radius=0.35):
     y = (major_radius + minor_radius * np.cos(vv)) * np.sin(uu)
     z = minor_radius * np.sin(vv)
     verts = np.stack([x.ravel(), y.ravel(), z.ravel()], axis=1)
-    faces = []
-    for i in range(n_major):
-        for j in range(n_minor):
-            a = i * n_minor + j
-            b = ((i + 1) % n_major) * n_minor + j
-            c = ((i + 1) % n_major) * n_minor + (j + 1) % n_minor
-            d = i * n_minor + (j + 1) % n_minor
-            faces.append((a, b, c))
-            faces.append((a, c, d))
-    return verts, np.array(faces, dtype=np.int64)
+    i = np.arange(n_major)[:, None]
+    j = np.arange(n_minor)[None, :]
+    i1, j1 = (i + 1) % n_major, (j + 1) % n_minor
+    a, b = i * n_minor + j, i1 * n_minor + j
+    c, d = i1 * n_minor + j1, i * n_minor + j1
+    faces = np.stack([a, b, c, a, c, d], axis=-1).reshape(-1, 3)
+    return verts, faces
 
 
 def base_shape(kind, resolution):

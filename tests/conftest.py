@@ -10,6 +10,7 @@ from specpool.errors import DataError
 from specpool.metric import FactoredGrad
 from specpool.rng import substream
 from specpool.shape_io import TriMesh
+from specpool.synth import torus_mesh
 from specpool.trainer import FeatureSet
 
 
@@ -235,3 +236,52 @@ def lsf_reference(cloud, params, seed=0):
                 + bins[:, 2]) * nbins + bins[:, 3]
         values[i] = np.bincount(flat, minlength=dim)
     return DescriptorField(values)
+
+
+def loop_subdivide(verts, faces):
+    """Split every face into four, one face and one edge at a time.
+
+    The dict-of-midpoints loop that ``synth._subdivide`` replaces with
+    array operations; the two must agree byte for byte.
+    """
+    verts = list(map(tuple, verts))
+    midpoint = {}
+
+    def mid(i, j):
+        key = (min(i, j), max(i, j))
+        if key not in midpoint:
+            v = 0.5 * (np.array(verts[i]) + np.array(verts[j]))
+            midpoint[key] = len(verts)
+            verts.append(tuple(v))
+        return midpoint[key]
+
+    out = []
+    for a, b, c in faces:
+        ab, bc, ca = mid(a, b), mid(b, c), mid(c, a)
+        out.extend([(a, ab, ca), (b, bc, ab), (c, ca, bc), (ab, bc, ca)])
+    return np.array(verts, dtype=np.float64), np.array(out, dtype=np.int64)
+
+
+def loop_torus_mesh(n_major, n_minor):
+    """``synth.torus_mesh`` with its faces built one grid cell at a time."""
+    verts, _ = torus_mesh(n_major, n_minor)
+    faces = []
+    for i in range(n_major):
+        for j in range(n_minor):
+            a = i * n_minor + j
+            b = ((i + 1) % n_major) * n_minor + j
+            c = ((i + 1) % n_major) * n_minor + (j + 1) % n_minor
+            d = i * n_minor + (j + 1) % n_minor
+            faces.append((a, b, c))
+            faces.append((a, c, d))
+    return verts, np.array(faces, dtype=np.int64)
+
+
+def loop_save_mesh(path, mesh):
+    """ASCII OFF written one formatted line per vertex and per face: the
+    text ``shape_io.save_mesh`` must reproduce exactly."""
+    v, f = mesh.vertices, mesh.faces
+    out = ["OFF", f"{len(v)} {len(f)} 0"]
+    out.extend("%.17g %.17g %.17g" % tuple(p) for p in v)
+    out.extend("3 %d %d %d" % tuple(t) for t in f)
+    path.write_text("\n".join(out) + "\n")

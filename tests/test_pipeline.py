@@ -9,7 +9,7 @@ from specpool.pipeline import (ABLATIONS, TRAINED_ABLATIONS, build_features,
                                extract_manifest, extract_shape, feature_mode,
                                retrieval_eval)
 from specpool.shape_io import ManifestEntry, TriMesh, load_mesh, save_mesh
-from specpool.synth import SynthSpec, generate
+from specpool.synth import SynthSpec, generate, icosphere
 from specpool.trainer import train
 
 
@@ -169,6 +169,23 @@ class TestExtraction:
                             run_config(descriptor="lsf", n_points=200),
                             cache=None)
         assert rec.H.shape == (625, 625)
+
+    @pytest.mark.parametrize("k_eig", [2, 4])
+    def test_hks_needs_two_distinct_eigenvalues(self, bench, tmp_path,
+                                                k_eig):
+        # a level-2 icosphere: lambda_1 = lambda_2 = lambda_3 to round-off
+        path = tmp_path / "ico.off"
+        save_mesh(path, TriMesh(*icosphere(2)))
+        entry = ManifestEntry("ico", str(path), 0, "train")
+        run = run_config(descriptor="hks", k_eig=k_eig)
+        with pytest.raises(DataError, match=r"HKS needs two distinct "
+                           r"positive eigenvalues among the k_eig = "
+                           rf"{k_eig} retained modes"):
+            extract_shape(entry, bench, run, cache=None)
+        rec = extract_shape(entry, bench, run_config(descriptor="hks",
+                                                     k_eig=k_eig + 3),
+                            cache=None)
+        assert np.all(np.isfinite(rec.H))
 
     def test_failures_collected(self, bench, tmp_path, caplog):
         broken = tmp_path / "broken.off"

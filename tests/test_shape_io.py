@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import loop_save_mesh
 from specpool import synth
 from specpool.errors import DataError, ManifestError, MeshFormatError
 from specpool.shape_io import (DatasetManifest, ManifestEntry, PointCloud,
@@ -258,6 +259,29 @@ class TestLoadMesh:
             load_mesh(p)
         assert err.value.line == line
         assert f"{name}:{line}: {fragment}" in str(err.value)
+
+    @pytest.mark.parametrize("kind", synth.GENERATORS)
+    def test_save_writes_the_per_line_text(self, tmp_path, kind):
+        mesh = synth.make_instance(kind, 642, synth.SynthSpec().amplitude,
+                                   np.random.default_rng(5))
+        save_mesh(tmp_path / "a.off", mesh)
+        loop_save_mesh(tmp_path / "b.off", mesh)
+        assert (tmp_path / "a.off").read_bytes() \
+            == (tmp_path / "b.off").read_bytes()
+
+    def test_save_writes_edge_values_as_the_per_line_text(self, tmp_path):
+        mesh = TriMesh(np.array([[-0.0, 5e-324, 1e300],
+                                 [-1e300, -5e-324, 0.1],
+                                 [-2.5, 1.0 / 3.0, -123456789.0]]),
+                       np.array([[0, 1, 2], [2, 1, 0]]))
+        save_mesh(tmp_path / "a.off", mesh)
+        loop_save_mesh(tmp_path / "b.off", mesh)
+        text = (tmp_path / "a.off").read_text()
+        assert text == (tmp_path / "b.off").read_text()
+        assert text.splitlines()[2] \
+            == "-0 4.9406564584124654e-324 1.0000000000000001e+300"
+        assert np.array_equal(load_mesh(tmp_path / "a.off").vertices,
+                              mesh.vertices)
 
     def test_writes_only_off(self, tmp_path, tetra_mesh):
         for ext in (".obj", ".ply", ".stl"):

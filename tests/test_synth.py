@@ -3,6 +3,8 @@ import hashlib
 import numpy as np
 import pytest
 
+from conftest import loop_save_mesh, loop_subdivide, loop_torus_mesh
+from specpool import synth
 from specpool.errors import DataError
 from specpool.lb_operator import mesh_component_count, mesh_spectrum
 from specpool.shape_io import TriMesh, face_unit_normals, load_manifest
@@ -70,6 +72,43 @@ class TestBaseShapes:
         np.testing.assert_allclose(np.linalg.norm(normals, axis=1), 1.0,
                                    rtol=1e-12)
         assert np.einsum("ij,ij->i", normals, verts).min() > 0.99
+
+
+def same_bytes(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape \
+        and a.tobytes() == b.tobytes()
+
+
+class TestArrayBuildMatchesLoops:
+    """The array-built meshes equal the per-element loops' byte for byte."""
+
+    @pytest.mark.parametrize("level", range(6))
+    def test_icosphere(self, level, monkeypatch):
+        verts, faces = icosphere(level)
+        monkeypatch.setattr(synth, "_subdivide", loop_subdivide)
+        ref_verts, ref_faces = icosphere(level)
+        assert same_bytes(verts, ref_verts)
+        assert same_bytes(faces, ref_faces)
+
+    @pytest.mark.parametrize("n_major,n_minor", [(8, 6), (9, 7), (49, 31)])
+    def test_torus(self, n_major, n_minor):
+        _, faces = torus_mesh(n_major, n_minor)
+        assert same_bytes(faces, loop_torus_mesh(n_major, n_minor)[1])
+
+    def test_generate_writes_the_loops_files(self, tmp_path, monkeypatch):
+        spec = SynthSpec(classes=synth.GENERATORS, instances_per_class=4,
+                         resolution=700, seed=3)
+        generate(spec, tmp_path / "array")
+        monkeypatch.setattr(synth, "_subdivide", loop_subdivide)
+        monkeypatch.setattr(synth, "torus_mesh", loop_torus_mesh)
+        monkeypatch.setattr(synth, "save_mesh", loop_save_mesh)
+        generate(spec, tmp_path / "loop")
+        names = sorted(p.name for p in (tmp_path / "array").iterdir())
+        assert names == sorted(p.name for p in (tmp_path / "loop").iterdir())
+        assert len(names) == 21
+        for name in names:
+            assert (tmp_path / "array" / name).read_bytes() \
+                == (tmp_path / "loop" / name).read_bytes(), name
 
 
 class TestSpecValidation:
