@@ -4,9 +4,9 @@ Extraction runs the offline stages per shape (spectrum or sampled cloud,
 raw descriptors, pooling, eigendecomposition of the pooled matrix) behind
 the content-addressed cache. Feature assembly is the only code that knows
 the feature modes: it turns cached records into the trainer's per-shape
-factors (single columns for the static modes, the Q factors for
-``stnet``), and the evaluation helpers produce embeddings, ranked lists,
-and reports.
+features (a static row for the static modes, the eigenpairs U_r and the
+power table P0 for ``stnet``), and the evaluation helpers produce
+embeddings, ranked lists, and reports.
 """
 
 import logging
@@ -198,8 +198,10 @@ def feature_mode(ablation=None, transform=None):
 def build_features(records, entries, mode, run):
     """A trainer FeatureSet for the given shapes in manifest order.
 
-    ``o1``, ``o2`` and ``fixed:<kind>`` give each shape its static row as
-    a single column; ``stnet`` gives each shape its Q factor.
+    ``o1``, ``o2`` and ``fixed:<kind>`` give each shape its static row;
+    ``stnet`` gives each shape its eigenvectors U_r and its power table
+    ``spdm.shifted_powers``, from which the trainer builds rows for any
+    mixture.
     """
     missing = [e.shape_id for e in entries if e.shape_id not in records]
     if missing:
@@ -208,21 +210,20 @@ def build_features(records, entries, mode, run):
     labels = np.array([e.label for e in entries], dtype=np.int64)
     recs = [records[i] for i in ids]
 
+    if mode == "stnet":
+        return trainer.FeatureSet(ids, labels, spectra=[
+            (r.U, spdm.shifted_powers(r.lam, run.n_mix)) for r in recs])
     if mode == "o1":
-        q = [r.o1[:, None] for r in recs]
+        static = [r.o1 for r in recs]
     elif mode == "o2":
-        q = [spdm.g_vec(r.H)[:, None] for r in recs]
+        static = [spdm.g_vec(r.H) for r in recs]
     elif mode.startswith("fixed:"):
         kind = mode.split(":", 1)[1]
-        q = [spdm.fixed_transform(r.H, kind, eps=run.log_eps)[:, None]
-             for r in recs]
-    elif mode == "stnet":
-        alphas = spdm.power_grid(run.n_mix)
-        q = [spdm.mpf_q_matrix(r.U, r.lam[:, None] ** alphas[None, :])
-             for r in recs]
+        static = [spdm.fixed_transform(r.H, kind, eps=run.log_eps)
+                  for r in recs]
     else:
         raise DataError(f"unknown feature mode {mode!r}")
-    return trainer.FeatureSet(ids, labels, q)
+    return trainer.FeatureSet(ids, labels, static=static)
 
 
 def embeddings(features, blocks=None):
@@ -230,7 +231,7 @@ def embeddings(features, blocks=None):
 
     Without parameter blocks the normalized feature rows themselves are
     the embedding (the no-learning baselines); the mixture is then
-    softmax(0), the uniform mixture for stnet factors.
+    softmax(0), the uniform mixture for stnet features.
     """
     idx = np.arange(features.n_shapes)
     rows = features.rows(idx, features.gamma(blocks))

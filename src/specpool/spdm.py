@@ -12,18 +12,25 @@ it), which values an eigensolver returns for the rest depends on the
 LAPACK build, and f amplifies them (1e-12**0.1 is 0.063).
 ``nonzero_spectrum`` sets them to exactly 0 and keeps only the r eigenpairs
 above the threshold. Every direction orthogonal to those r eigenvectors
-has eigenvalue 0, whose powers are 0**alpha = (1, 0, ..., 0) with the
-convention 0**0 = 1, so it adds only to the alpha = 0 column of Q. The
-fixed transforms keep the full spectrum.
+has eigenvalue 0, whose powers are 0**alpha = e0 = (1, 0, ..., 0) with the
+convention 0**0 = 1, so f(H) = gamma_0 I + U_r diag(P0 @ gamma) U_r^T with
+P0 = lam_r**alpha - e0 (``shifted_powers``). The fixed transforms keep the
+full spectrum.
 
-Both directions go through the per-shape factor Q of ``mpf_q_matrix``:
-the forward row is Q @ gamma and the weight gradient is Q^T @ dL. Q^T is
-the exact backward because the upper-triangle vectorization scatters a
-gradient dL into a symmetric matrix S with its off-diagonal entries
-halved: the eigenvalue gradient u_k^T S u_k reads each off-diagonal entry
-from both mirror slots, so halving counts it once, as Q's upper-triangle
-rows do. An unhalved scatter equals Q with its off-diagonal rows doubled
+The trainer's ``FeatureSet`` computes both directions from (U_r, P0) per
+shape, in O(d^2 r). The forward row is g of that matrix. The row's
+derivative along A = U_r diag(p) U_r^T, p a change of P0 @ gamma, pairs a
+row gradient dL with A as sum_{j <= l} dL_jl A_jl. With S holding dL in
+its upper triangle and zeros below, that sum is tr(A S) = sum_k p_k
+u_k^T S u_k, so the weight gradient is P0^T diag(U_r^T S U_r) + e0 tr S.
+Each entry of dL is read once, as the row holds each entry once;
+scattering dL into both triangles reads every off-diagonal entry twice
 and fails the end-to-end finite-difference check.
+
+``mpf_q_matrix`` builds the same map as one dense factor Q per shape, the
+row Q @ gamma and the gradient Q^T @ dL. It is the reference definition
+the gradient checker compares the production path with, not the
+production path: Q has d(d+1)/2 x (N_m + 1) entries, 17 MB at d = 625.
 
 The logits are the trainer's ``omega`` block, N_m + 1 of them, zero at
 the start (the uniform mixture); H is a plain symmetric array.
@@ -47,7 +54,7 @@ FIXED_TRANSFORMS = ("log_e", "log_reg", "log_max", "half_power",
 def softmax(x):
     e = np.exp(x - np.max(x))
     gamma = e / np.sum(e)
-    # subnormal weights add nothing to Q @ gamma but slow every product
+    # subnormal weights add nothing to a feature row but slow every product
     return np.where(gamma < np.finfo(gamma.dtype).tiny, 0.0, gamma)
 
 
@@ -113,11 +120,23 @@ def nonzero_spectrum(H):
     """(U_r, lam_r): the normalized eigenpairs above ZERO_EIGENVALUE_TOL.
 
     The other eigenvalues are exactly 0 and their eigenvectors are dropped;
-    ``mpf_q_matrix`` accounts for the null space they span.
+    ``shifted_powers`` accounts for the null space they span.
     """
     U, lam = normalized_spectrum(H)
     r = int(np.count_nonzero(lam > ZERO_EIGENVALUE_TOL))
     return np.ascontiguousarray(U[:, :r]), lam[:r]
+
+
+def shifted_powers(lam, n_mix):
+    """P0 = lam**alpha - e0, r x (n_mix + 1), for the nonzero eigenvalues.
+
+    e0 = (1, 0, ..., 0) holds the powers of the null space's eigenvalue 0,
+    so f(H) = gamma_0 I + U_r diag(P0 @ gamma) U_r^T and column 0 of P0 is
+    exactly 0.
+    """
+    p = lam[:, None] ** power_grid(n_mix)[None, :]
+    p[:, 0] -= 1.0
+    return p
 
 
 def softmax_backward(gamma, dgamma):
@@ -133,8 +152,8 @@ def mpf_q_matrix(U, powers):
     orthogonal to U have eigenvalue 0, so N_0 = I - U U^T and the other
     N_i are 0: column 0 is exactly g(I) when powers[:, 0] is all ones.
     Column i >= 1 costs d^2 r. The transformed vector is Q @ gamma and
-    the weight gradient is Q^T @ dL_dgH, which makes per-batch work
-    independent of the reconstruction cost.
+    the weight gradient is Q^T @ dL_dgH. This is the reference the
+    gradient checker holds the trainer's factored rows and gradients to.
     """
     d, m = U.shape[0], powers.shape[1]
     upper = np.triu(np.ones((d, d), dtype=bool))  # g's row-major order

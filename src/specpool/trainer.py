@@ -6,10 +6,12 @@ finite-difference gradient checker that exercises the exact production
 forward/backward paths on a bundled toy problem. Settings come from
 ``config.RunConfig``.
 
-Features: each shape has a (dim, m) factor and its row is factor @ gamma.
-The learned transform has m = n_mix + 1 and learns gamma = softmax(omega);
-the static features (first/second order, fixed transforms) are single
-columns with gamma = [1], the same network with the transform held fixed.
+Features: the learned transform keeps each shape's eigenpairs (U_r and
+the power table P0) and learns the n_mix + 1 weights gamma =
+softmax(omega); its rows and their gamma-gradient are computed from those
+factors for each batch. The static features (first/second order, fixed
+transforms) are one row per shape with gamma = [1], the same network with
+the transform held fixed.
 """
 
 import logging
@@ -37,19 +39,40 @@ UPDATE_COLUMNS = 4096
 class FeatureSet:
     """Trainable per-shape feature source for one split.
 
-    ``q`` holds one (dim, m) factor per shape; a shape's feature row is
-    ``q[i] @ gamma``. The factors stay a list: stacking would copy them,
-    and one list can be shared by several feature sets.
+    Exactly one of two sources is given, one entry per shape:
+
+    * ``static``: the shape's feature row (first/second order, fixed
+      transforms); gamma = [1] and a row is ``static[i] * gamma[0]``.
+    * ``spectra``: the learned transform's (U_r, P0) pair, U_r the d x r
+      eigenvectors of H above ``spdm.ZERO_EIGENVALUE_TOL`` and P0 the
+      r x (n_mix + 1) table ``spdm.shifted_powers``. The row is
+      g(U_r diag(P0 @ gamma) U_r^T) with gamma_0 added at the d diagonal
+      slots of g, the upper triangle of f(H) = gamma_0 I + U_r diag(P0
+      gamma) U_r^T (see ``spdm``).
+
+    The entries stay a list: one list can be shared by several feature
+    sets without a copy.
     """
 
     ids: list
     labels: np.ndarray
-    q: list = field(repr=False)
+    static: list = field(default=None, repr=False)
+    spectra: list = field(default=None, repr=False)
 
     def __post_init__(self):
         self.labels = np.asarray(self.labels, dtype=np.int64)
-        if len(self.q) != len(self.ids) or not self.q:
+        if (self.static is None) == (self.spectra is None):
+            raise DataError("features need either static rows or spectra")
+        source = self.static if self.spectra is None else self.spectra
+        if len(source) != len(self.ids) or not source:
             raise DataError("features need one factor per shape")
+        if self.spectra is not None:
+            d = self.spectra[0][0].shape[0]
+            # row-major flat positions of the upper triangle (g's order) in
+            # a d x d matrix, and the positions of the diagonal within g
+            self._upper = np.flatnonzero(np.triu(np.ones((d, d), bool)))
+            self._diag = np.concatenate(
+                ([0], np.cumsum(np.arange(d, 1, -1))))
 
     @property
     def n_shapes(self):
@@ -57,33 +80,52 @@ class FeatureSet:
 
     @property
     def dim(self):
-        return self.q[0].shape[0]
+        if self.spectra is None:
+            return len(self.static[0])
+        return len(self._upper)
 
     @property
     def n_weights(self):
-        """Columns m of each factor: the length of gamma."""
-        return self.q[0].shape[1]
+        """The length of gamma: n_mix + 1 for spectra, 1 for static rows."""
+        if self.spectra is None:
+            return 1
+        return self.spectra[0][1].shape[1]
 
     def gamma(self, blocks=None):
         """Mixture weights: softmax of the learned logits, or of zeros
-        without them ([1] for a single column, else the uniform mixture)."""
+        without them ([1] for static rows, else the uniform mixture)."""
         if blocks is not None and "omega" in blocks:
             return spdm.softmax(blocks["omega"])
         return spdm.softmax(np.zeros(self.n_weights))
 
     def rows(self, indices, gamma):
-        """Feature rows ``q[i] @ gamma`` for ``indices``."""
-        if len(gamma) == 1:
-            # the same product: numpy's matmul runs a scalar loop over a
-            # single column, an order of magnitude slower at d = 11,325
-            return np.stack([self.q[i][:, 0] for i in indices]) * gamma[0]
-        return np.stack([self.q[i] @ gamma for i in indices])
+        """Feature rows for ``indices`` under the mixture ``gamma``."""
+        if self.spectra is None:
+            return np.stack([self.static[i] for i in indices]) * gamma[0]
+        out = np.empty((len(indices), self.dim))
+        for row, i in enumerate(indices):
+            u, p0 = self.spectra[i]
+            out[row] = ((u * (p0 @ gamma)) @ u.T).ravel()[self._upper]
+        out[:, self._diag] += gamma[0]
+        return out
 
     def pull_gamma_grad(self, indices, dx):
-        """Accumulate d(loss)/d(gamma) from per-row feature gradients."""
+        """d(loss)/d(gamma) from the rows' gradients ``dx``, summed.
+
+        With dx scattered into the upper triangle of S (lower triangle
+        0), a shape adds P0^T diag(U_r^T S U_r) + e0 tr S:
+        u_k^T S u_k = sum_{j <= l} dx_jl U_jk U_lk is the derivative of
+        the row with respect to (P0 gamma)_k, each entry read once.
+        Static rows have no mixture, so only spectra have this gradient.
+        """
+        d = len(self._diag)
+        s = np.zeros(d * d)
         dgamma = np.zeros(self.n_weights)
         for row, i in enumerate(indices):
-            dgamma += self.q[i].T @ dx[row]
+            u, p0 = self.spectra[i]
+            s[self._upper] = dx[row]
+            dgamma += p0.T @ np.einsum("jk,jk->k", u, s.reshape(d, d) @ u)
+        dgamma[0] += dx[:, self._diag].sum()
         return dgamma
 
 
@@ -271,7 +313,9 @@ def train(config, features, n_classes=None):
     The log has one (epoch, mean_loss, wall_ms) row per epoch. Training
     stops early after ``early_stop_patience`` epochs without a relative
     loss improvement of ``early_stop_tol``. All epoch randomness is derived
-    from (seed, epoch).
+    from (seed, epoch). An epoch whose gradients are all exactly 0 while
+    its loss is above 0 (a saturated softmax, say) is logged as a warning:
+    the parameters cannot move.
     """
     if config.task == "classification" and n_classes is None:
         n_classes = int(features.labels.max()) + 1
@@ -290,9 +334,15 @@ def train(config, features, n_classes=None):
         t0 = time.perf_counter()
         batches = _epoch_batches(features, config, epoch)
         total, units = 0.0, 0
+        dead = True
         for batch in batches:
             loss, grads = _batch_forward_backward(features, blocks, batch,
                                                   config)
+            # W's gradient dF^T x is 0 when dF is; the rows of x are unit
+            # vectors, so otherwise only by cancellation
+            dead = dead and not any(
+                np.any(g.left if isinstance(g, metric.FactoredGrad) else g)
+                for g in grads.values())
             for grad in grads.values():
                 if isinstance(grad, metric.FactoredGrad):
                     grad.left[...] *= 1.0 / len(batch)
@@ -303,6 +353,10 @@ def train(config, features, n_classes=None):
             units += len(batch)
         mean_loss = total / units
         log.append((epoch, mean_loss, (time.perf_counter() - t0) * 1e3))
+        if dead and mean_loss > 0.0:
+            logger.warning("epoch %d: every gradient is exactly 0 at mean "
+                           "loss %.6g; the parameters cannot move", epoch,
+                           mean_loss)
 
         if mean_loss < best * (1.0 - config.early_stop_tol):
             best, stale = mean_loss, 0
@@ -323,17 +377,22 @@ def train(config, features, n_classes=None):
 # central-difference step and the largest relative error a block may show
 GRADCHECK_STEP = 1e-5
 GRADCHECK_THRESHOLD = 1e-5
+# largest relative gap between the factored rows and gamma-gradients and
+# the reference factor Q; the two differ only in summation order
+# (measured up to 1.8e-14, a rank-1 LSF gradient)
+REFERENCE_THRESHOLD = 1e-12
 
 
 @dataclass
 class GradcheckReport:
     block_errors: dict
+    reference_error: float
     wall_s: float
 
     @property
     def passed(self):
-        return all(e < GRADCHECK_THRESHOLD
-                   for e in self.block_errors.values())
+        return self.reference_error <= REFERENCE_THRESHOLD and all(
+            e < GRADCHECK_THRESHOLD for e in self.block_errors.values())
 
     @property
     def max_error(self):
@@ -346,6 +405,11 @@ class GradcheckReport:
             err = self.block_errors[name]
             verdict = "ok" if err < GRADCHECK_THRESHOLD else "FAIL"
             lines.append(f"  {name:<6} max rel err {err:.3e}  {verdict}")
+        ok = self.reference_error <= REFERENCE_THRESHOLD
+        lines.append(f"rows and gamma-gradient vs the Q factor "
+                     f"(threshold {REFERENCE_THRESHOLD:g})")
+        lines.append(f"  max rel err {self.reference_error:.3e}  "
+                     f"{'ok' if ok else 'FAIL'}")
         lines.append(f"overall: {'PASS' if self.passed else 'FAIL'} "
                      f"({self.wall_s:.2f} s)")
         return "\n".join(lines)
@@ -355,21 +419,20 @@ def toy_problem(n_shapes=8, dim=12, n_mix=10, n_classes=4, seed=11):
     """Small deterministic dataset driving the gradient checker.
 
     Shapes get random PSD matrices (two of them rank-deficient so the
-    zero-eigenvalue branch of the power table is exercised) and cyclic
+    null space's share of the alpha = 0 power is exercised) and cyclic
     labels.
     """
     rng = substream(seed, "gradcheck")
-    q, labels, ids = [], [], []
+    spectra, labels, ids = [], [], []
     for i in range(n_shapes):
         cols = dim - 3 if i < 2 else dim
         a = rng.normal(size=(dim, cols))
         h = (a @ a.T) / dim
         u, lam = spdm.nonzero_spectrum(h)
-        powers = lam[:, None] ** spdm.power_grid(n_mix)[None, :]
-        q.append(spdm.mpf_q_matrix(u, powers))
+        spectra.append((u, spdm.shifted_powers(lam, n_mix)))
         labels.append(i % n_classes)
         ids.append(f"toy_{i:02d}")
-    return FeatureSet(ids, np.array(labels), q)
+    return FeatureSet(ids, np.array(labels), spectra=spectra)
 
 
 def _loss_only(features, blocks, batch, config):
@@ -382,10 +445,12 @@ def gradcheck(seed=11):
 
     Runs the retrieval objective (omega and W blocks) and the
     classification objective (omega, W, C, bias) on the toy problem and
-    reports the worst relative error per block.
+    reports the worst relative error per block. It also holds the toy
+    problem's rows and gamma-gradients to the reference factor Q.
     """
     t0 = time.perf_counter()
     features = toy_problem(seed=seed)
+    reference_error = _reference_error(features, seed)
     errors = {}
 
     # margin large enough that every hinge is active and far from its kink
@@ -407,7 +472,30 @@ def gradcheck(seed=11):
     batch = np.arange(features.n_shapes)
     _accumulate_block_errors(errors, features, blocks, batch,
                              classify_cfg, "clf")
-    return GradcheckReport(errors, time.perf_counter() - t0)
+    return GradcheckReport(errors, reference_error,
+                           time.perf_counter() - t0)
+
+
+def _relative_gap(a, b):
+    return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+
+def _reference_error(features, seed):
+    """Worst relative gap, over the shapes, between the production row
+    and gamma-gradient and ``spdm.mpf_q_matrix``'s Q @ gamma and Q^T dx,
+    at a random mixture and row gradient."""
+    rng = substream(seed, "gradcheck", "reference")
+    gamma = spdm.softmax(rng.normal(size=features.n_weights))
+    dx = rng.normal(size=(features.n_shapes, features.dim))
+    rows = features.rows(np.arange(features.n_shapes), gamma)
+    e0 = np.eye(1, features.n_weights)[0]
+    worst = 0.0
+    for i, (u, p0) in enumerate(features.spectra):
+        q = spdm.mpf_q_matrix(u, p0 + e0)
+        dgamma = features.pull_gamma_grad([i], dx[i:i + 1])
+        worst = max(worst, _relative_gap(rows[i], q @ gamma),
+                    _relative_gap(dgamma, q.T @ dx[i]))
+    return worst
 
 
 def _accumulate_block_errors(errors, features, blocks, batch, config, tag):

@@ -10,6 +10,7 @@ from specpool.errors import DataError
 from specpool.metric import FactoredGrad
 from specpool.rng import substream
 from specpool.shape_io import TriMesh
+from specpool.spdm import mpf_q_matrix
 from specpool.synth import torus_mesh
 from specpool.trainer import FeatureSet
 
@@ -120,10 +121,35 @@ def unhalved_q(q):
     return doubled
 
 
+def reference_q(features, i):
+    """The reference factor Q of shape i of an stnet feature set, built by
+    ``spdm.mpf_q_matrix`` from the set's (U_r, P0): the production rows
+    are Q @ gamma and the gamma-gradients Q^T dx."""
+    u, p0 = features.spectra[i]
+    return mpf_q_matrix(u, p0 + np.eye(1, p0.shape[1])[0])
+
+
+def assert_rel_close(actual, expected, rtol=1e-12):
+    """Norm-wise relative agreement. The factored rows and gradients sum
+    in another order than Q's products. On synth records that moved
+    rows by up to 5.6e-16 of their norm and gamma-gradients by up to
+    1.8e-14 (an LSF record cut to rank 1)."""
+    gap = np.linalg.norm(np.asarray(actual) - expected)
+    assert gap <= rtol * np.linalg.norm(expected), \
+        f"relative gap {gap / np.linalg.norm(expected):.3e} > {rtol:g}"
+
+
 def _unhalved_pull_gamma_grad(self, indices, dx):
+    # the trace form with dx scattered into both triangles of S: u^T S u
+    # then reads every off-diagonal entry twice (Q with its off-diagonal
+    # rows doubled, ``unhalved_q``)
+    d = len(self.spectra[0][0])
     dgamma = np.zeros(self.n_weights)
     for row, i in enumerate(indices):
-        dgamma += unhalved_q(self.q[i]).T @ dx[row]
+        u, p0 = self.spectra[i]
+        s = reference_scatter(dx[row], d, offdiag=1.0)
+        dgamma += p0.T @ np.einsum("jk,jk->k", u, s @ u)
+        dgamma[0] += np.trace(s)
     return dgamma
 
 

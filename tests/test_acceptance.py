@@ -38,7 +38,7 @@ from specpool.lb_operator import mesh_spectrum
 from specpool.pooling import (cloud_weights, mesh_weights,
                               pool_second_order)
 from specpool.shape_io import TriMesh, load_manifest
-from specpool.spdm import FIXED_TRANSFORMS, mpf_eval, mpf_q_matrix, power_grid
+from specpool.spdm import FIXED_TRANSFORMS, mpf_eval, shifted_powers
 from specpool.trainer import (GRADCHECK_THRESHOLD, FeatureSet, gradcheck,
                               train)
 
@@ -326,17 +326,16 @@ class TestA7Classification:
         records, failures = pipeline.extract_manifest(bench, run, cache)
         assert not failures, failures
 
-        # one Q factor per shape, shared across folds (the fold split
+        # one (U_r, P0) pair per shape, shared across folds (the fold split
         # changes which shapes train, not their features)
-        alphas = power_grid(run.n_mix)
-        qmats = {sid: mpf_q_matrix(r.U, r.lam[:, None] ** alphas[None, :])
-                 for sid, r in records.items()}
+        spectra = {sid: (r.U, shifted_powers(r.lam, run.n_mix))
+                   for sid, r in records.items()}
         del records
 
         def featset(entries):
             ids = [e.shape_id for e in entries]
             return FeatureSet(ids, np.array([e.label for e in entries]),
-                              [qmats[i] for i in ids])
+                              spectra=[spectra[i] for i in ids])
 
         accs, row_err = [], 0.0
         for fold in split_kfold(bench, 5, seed=0):

@@ -3,7 +3,7 @@ import shutil
 import numpy as np
 import pytest
 
-from specpool import metric, synth
+from specpool import metric, spdm, synth
 from specpool.cli import main
 from specpool.shape_io import (DatasetManifest, ManifestEntry, TriMesh,
                                load_manifest, load_mesh, save_manifest,
@@ -390,6 +390,29 @@ class TestEval:
                    "--ablation", "surf_o2_ml", "--out", str(tmp_path)])
         assert rc == 1
         assert "trained for mode" in capsys.readouterr().err
+
+
+class TestNoQFactor:
+    def test_stnet_train_and_eval_build_no_q(self, workspace, tmp_path,
+                                             monkeypatch):
+        # the learned transform works from (U_r, P0); the dense Q factor
+        # is only the gradient checker's reference
+        def no_q(*args, **kwargs):
+            raise AssertionError("built a dense Q factor")
+
+        monkeypatch.setattr(spdm, "mpf_q_matrix", no_q)
+        out = tmp_path / "model"
+        assert main(["train", "--manifest", str(workspace["split"]),
+                     "--config", str(workspace["cfg"]),
+                     "--cache", str(workspace["cache"]),
+                     "--ablation", "st_net", "--out", str(out)]) == 0
+        assert main(["eval", "--manifest", str(workspace["split"]),
+                     "--config", str(workspace["cfg"]),
+                     "--cache", str(workspace["cache"]),
+                     "--model", str(out / "model.npz"),
+                     "--out", str(tmp_path / "eval")]) == 0
+        assert (tmp_path / "eval" / "report.tsv").read_text() \
+            .splitlines()[1].startswith("stnet\t")
 
 
 class TestClassification:

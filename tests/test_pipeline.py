@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from specpool import pipeline, spdm, storage
+from specpool import pipeline, spdm, storage, trainer
 from specpool.config import RunConfig
 from specpool.errors import DataError
 from specpool.pipeline import (ABLATIONS, TRAINED_ABLATIONS, build_features,
@@ -11,6 +11,8 @@ from specpool.pipeline import (ABLATIONS, TRAINED_ABLATIONS, build_features,
 from specpool.shape_io import ManifestEntry, TriMesh, load_mesh, save_mesh
 from specpool.synth import SynthSpec, generate, icosphere
 from specpool.trainer import train
+
+from conftest import assert_rel_close, reference_q
 
 
 @pytest.fixture(scope="module")
@@ -270,7 +272,7 @@ class TestFeatureModes:
 
 
 def static_rows(feats):
-    return np.stack([q[:, 0] for q in feats.q])
+    return np.stack(feats.static)
 
 
 class TestBuildFeatures:
@@ -279,11 +281,11 @@ class TestBuildFeatures:
         entries = bench.entries
         recs = [records[e.shape_id] for e in entries]
         o1 = build_features(records, entries, "o1", run)
-        assert [q.shape for q in o1.q] == [(150, 1)] * 8
+        assert (o1.n_shapes, o1.dim, o1.n_weights) == (8, 150, 1)
         assert np.array_equal(static_rows(o1), np.stack([r.o1 for r in recs]))
 
         o2 = build_features(records, entries, "o2", run)
-        assert [q.shape for q in o2.q] == [(150 * 151 // 2, 1)] * 8
+        assert (o2.n_shapes, o2.dim, o2.n_weights) == (8, 150 * 151 // 2, 1)
         assert np.array_equal(static_rows(o2),
                               np.stack([spdm.g_vec(r.H) for r in recs]))
 
@@ -294,11 +296,16 @@ class TestBuildFeatures:
                       for r in recs]))
 
         st = build_features(records, entries, "stnet", run)
-        assert len(st.q) == 8
-        assert st.q[0].shape == (150 * 151 // 2, run.n_mix + 1)
+        assert (st.n_shapes, st.dim, st.n_weights) == \
+            (8, 150 * 151 // 2, run.n_mix + 1)
+        # each shape keeps its eig record's U_r, and its rows agree with
+        # the Q factor of (U_r, lam_r**alpha)
+        assert st.spectra[3][0] is recs[3].U
         alphas = spdm.power_grid(run.n_mix)
-        assert np.array_equal(st.q[3], spdm.mpf_q_matrix(
-            recs[3].U, recs[3].lam[:, None] ** alphas[None, :]))
+        q = spdm.mpf_q_matrix(recs[3].U,
+                              recs[3].lam[:, None] ** alphas[None, :])
+        gamma = spdm.softmax(np.linspace(-1.0, 1.0, run.n_mix + 1))
+        assert_rel_close(st.rows([3], gamma)[0], q @ gamma)
 
     def test_missing_record(self, bench, records):
         partial = {k: v for k, v in records.items() if k != "torus_001"}
@@ -308,6 +315,51 @@ class TestBuildFeatures:
     def test_bad_mode(self, bench, records):
         with pytest.raises(DataError, match="feature mode"):
             build_features(records, bench.entries, "o3", run_config())
+
+
+@pytest.fixture(scope="module")
+def lsf_record(bench):
+    rec = extract_shape(bench.entries[-1], bench,
+                        run_config(descriptor="lsf"), cache=None)
+    assert rec.H.shape == (625, 625)
+    return rec
+
+
+def spectrum_of_rank(rec, rank):
+    """(U, lam): the record's top eigenpair, its own r eigenpairs, or all
+    d normalized eigenpairs of H (the round-off ones included)."""
+    if rank == "d":
+        return spdm.normalized_spectrum(rec.H)
+    if rank == 1:
+        return rec.U[:, :1], rec.lam[:1]
+    return rec.U, rec.lam
+
+
+class TestFactoredTransform:
+    """The stnet rows and gamma-gradients against ``spdm.mpf_q_matrix``'s Q
+    built from (U, lam**alpha): the same map summed in another order."""
+
+    @pytest.mark.parametrize("rank", [1, "r", "d"])
+    @pytest.mark.parametrize("descriptor", ["sihks_wks", "lsf"])
+    def test_rows_and_gradients_match_q(self, records, lsf_record,
+                                        descriptor, rank):
+        run = run_config()
+        rec = lsf_record if descriptor == "lsf" else records["torus_001"]
+        U, lam = spectrum_of_rank(rec, rank)
+        feats = trainer.FeatureSet(
+            ["s"], np.array([0]),
+            spectra=[(U, spdm.shifted_powers(lam, run.n_mix))])
+        alphas = spdm.power_grid(run.n_mix)
+        q = spdm.mpf_q_matrix(U, lam[:, None] ** alphas[None, :])
+        m = run.n_mix + 1
+        rng = np.random.default_rng(21)
+        gammas = {"uniform": np.full(m, 1.0 / m), "alpha_0": np.eye(m)[0],
+                  "alpha_1": np.eye(m)[1],
+                  "softmax": spdm.softmax(rng.normal(size=m))}
+        for name, gamma in gammas.items():
+            assert_rel_close(feats.rows([0], gamma)[0], q @ gamma)
+        dx = rng.normal(size=(1, feats.dim))
+        assert_rel_close(feats.pull_gamma_grad([0], dx), q.T @ dx[0])
 
 
 class TestEmbeddings:
@@ -326,9 +378,10 @@ class TestEmbeddings:
         feats = build_features(records, bench.entries, "stnet", run)
         vecs = embeddings(feats)
         gamma = np.full(run.n_mix + 1, 1.0 / (run.n_mix + 1))
-        rows = np.stack([q @ gamma for q in feats.q])
+        rows = np.stack([reference_q(feats, i) @ gamma
+                         for i in range(feats.n_shapes)])
         norms = np.linalg.norm(rows, axis=1)
-        assert np.array_equal(vecs, rows / norms[:, None])
+        assert_rel_close(vecs, rows / norms[:, None])
 
     def test_trained_blocks_apply_head(self, bench, records):
         run = run_config()

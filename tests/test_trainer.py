@@ -10,7 +10,7 @@ from specpool.trainer import (FeatureSet, build_triplets, gradcheck,
                               init_params, sgd_step, toy_problem, train,
                               triplet_count)
 
-from conftest import dense_sgd_step
+from conftest import assert_rel_close, dense_sgd_step, reference_q
 
 
 def static_features(rng, n_per_class, n_classes, dim):
@@ -18,11 +18,11 @@ def static_features(rng, n_per_class, n_classes, dim):
     labels = np.repeat(np.arange(n_classes), n_per_class)
     x = rng.normal(size=(n, dim)) + labels[:, None] * 3.0
     ids = [f"s{i:02d}" for i in range(n)]
-    return FeatureSet(ids, labels, [row[:, None] for row in x])
+    return FeatureSet(ids, labels, static=list(x))
 
 
 def static_rows(feats):
-    return np.stack([q[:, 0] for q in feats.q])
+    return np.stack(feats.static)
 
 
 def classification_config(**kw):
@@ -72,8 +72,7 @@ class TestTriplets:
         # once per training run, not once per epoch
         labels = np.array([0, 0, 1])
         rows = np.random.default_rng(5).normal(size=(3, 4))
-        feats = FeatureSet(["a", "b", "c"], labels,
-                           [row[:, None] for row in rows])
+        feats = FeatureSet(["a", "b", "c"], labels, static=list(rows))
         cfg = RunConfig(task="retrieval", batch_size=4, learning_rate=0.05,
                         margin=1.0, eta=0.1, epochs=3, d_m=2)
         with caplog.at_level(logging.WARNING, logger="specpool"):
@@ -276,11 +275,49 @@ class TestTrain:
         assert blocks["C"].shape[0] == 4
 
 
+class TestDeadEpochWarning:
+    def saturated_init(self, monkeypatch):
+        # a head whose bias gives class 0 every probability: the clamped
+        # cross-entropy then has exactly 0 gradient at a loss above 0
+        real = trainer.init_params
+
+        def init(config, features, n_classes=None):
+            blocks = real(config, features, n_classes)
+            blocks["bias"][0] = 1e3
+            return blocks
+
+        monkeypatch.setattr(trainer, "init_params", init)
+
+    def test_saturated_head_warns_and_keeps_outputs(self, monkeypatch,
+                                                    caplog):
+        feats = static_features(np.random.default_rng(9), 3, 2, 5)
+        cfg = classification_config(epochs=3, d_m=4, batch_size=4, seed=0)
+        self.saturated_init(monkeypatch)
+        init = trainer.init_params(cfg, feats, 2)
+        with caplog.at_level(logging.WARNING, logger="specpool"):
+            blocks, log, _ = train(cfg, feats)
+        dead = [r.getMessage() for r in caplog.records
+                if "every gradient is exactly 0" in r.getMessage()]
+        assert len(dead) == 3 and dead[0].startswith("epoch 0:")
+        assert all(loss > 0.0 for _, loss, _ in log)
+        # the warning only reports: the parameters stay where they began
+        for name in init:
+            assert np.array_equal(blocks[name], init[name]), name
+
+    def test_live_run_does_not_warn(self, caplog):
+        feats = static_features(np.random.default_rng(9), 3, 2, 5)
+        cfg = classification_config(epochs=3, d_m=4, batch_size=4, seed=0)
+        with caplog.at_level(logging.WARNING, logger="specpool"):
+            train(cfg, feats)
+        assert not any("every gradient is exactly 0" in r.getMessage()
+                       for r in caplog.records)
+
+
 class TestFeatureSet:
     def test_static_rows(self):
         x = np.arange(12.0).reshape(4, 3)
         feats = FeatureSet([f"i{k}" for k in range(4)],
-                           np.array([0, 0, 1, 1]), [row[:, None] for row in x])
+                           np.array([0, 0, 1, 1]), static=list(x))
         assert feats.dim == 3 and feats.n_shapes == 4
         assert feats.n_weights == 1
         gamma = feats.gamma()
@@ -295,8 +332,8 @@ class TestFeatureSet:
         assert np.array_equal(feats.gamma({"omega": np.linspace(-1, 1, 11)}),
                               gamma)
         rows = feats.rows(np.array([1, 3]), gamma)
-        assert np.array_equal(rows[0], feats.q[1] @ gamma)
-        assert np.array_equal(rows[1], feats.q[3] @ gamma)
+        assert_rel_close(rows[0], reference_q(feats, 1) @ gamma)
+        assert_rel_close(rows[1], reference_q(feats, 3) @ gamma)
         omega = init_params(RunConfig(d_m=2), feats)["omega"]
         assert np.array_equal(omega, np.zeros(11))
 
@@ -306,14 +343,16 @@ class TestFeatureSet:
         dx = rng.normal(size=(2, feats.dim))
         idx = np.array([0, 2])
         out = feats.pull_gamma_grad(idx, dx)
-        ref = feats.q[0].T @ dx[0] + feats.q[2].T @ dx[1]
-        np.testing.assert_allclose(out, ref, atol=1e-12)
+        ref = reference_q(feats, 0).T @ dx[0] + reference_q(feats, 2).T @ dx[1]
+        assert_rel_close(out, ref)
 
     def test_validation(self):
         with pytest.raises(DataError, match="one factor per shape"):
-            FeatureSet(["a", "b"], np.array([0, 1]), [np.ones((2, 1))])
+            FeatureSet(["a", "b"], np.array([0, 1]), static=[np.ones(2)])
         with pytest.raises(DataError, match="one factor per shape"):
-            FeatureSet([], np.array([]), [])
+            FeatureSet([], np.array([]), static=[])
+        with pytest.raises(DataError, match="static rows or spectra"):
+            FeatureSet(["a"], np.array([0]))
 
 
 class TestGradcheck:
@@ -331,13 +370,27 @@ class TestGradcheck:
         assert report.block_errors["omega[retr]"] >= 1e-5
         assert report.block_errors["omega[clf]"] >= 1e-5
 
+    def test_reports_the_q_reference(self, monkeypatch):
+        report = gradcheck()
+        assert report.reference_error <= trainer.REFERENCE_THRESHOLD
+        assert "vs the Q factor" in report.format()
+        # a row that drifts from Q @ gamma by 1e-9 fails the check alone
+        rows = FeatureSet.rows
+        monkeypatch.setattr(FeatureSet, "rows", lambda self, idx, gamma:
+                            rows(self, idx, gamma) * (1.0 + 1e-9))
+        report = gradcheck()
+        assert all(e < 1e-5 for e in report.block_errors.values())
+        assert report.reference_error > trainer.REFERENCE_THRESHOLD
+        assert not report.passed
+
     def test_toy_problem_keeps_the_rank_of_deficient_shapes(self):
         # shapes 0 and 1 have rank dim - 3: their alpha > 0 columns are built
         # from those eigenpairs alone, not from round-off eigenvalues raised
         # to a small power
         dim = 12
         features = toy_problem(dim=dim)
-        for i, q in enumerate(features.q):
+        for i in range(features.n_shapes):
+            q = reference_q(features, i)
             m = np.zeros((dim, dim))
             m[np.triu_indices(dim)] = q[:, 1]
             m += np.triu(m, 1).T
