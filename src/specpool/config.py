@@ -9,7 +9,6 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from .errors import ConfigError
-from .metric import LOSS_VARIANTS
 from .spdm import FIXED_TRANSFORMS
 
 SPECTRAL_DESCRIPTORS = ("sihks_wks", "sihks", "wks", "hks")
@@ -50,7 +49,6 @@ class RunConfig:
     t_max_factor: int = 10
     early_stop_patience: int = 20
     early_stop_tol: float = 1e-4
-    loss_variant: str = "bce"
     transform: str = ""
     log_eps: float = 1e-3
 
@@ -63,8 +61,6 @@ class RunConfig:
         if self.transform not in ("",) + FIXED_TRANSFORMS:
             raise ConfigError(f"unknown transform {self.transform!r}; "
                               f"choose from {FIXED_TRANSFORMS}")
-        if self.loss_variant not in LOSS_VARIANTS:
-            raise ConfigError(f"unknown loss variant {self.loss_variant!r}")
         for names, low, closed in _RANGES:
             for name in names:
                 value = getattr(self, name)

@@ -2,8 +2,8 @@
 
 The embedding is F = W (x / ||x||) over the transformed descriptor
 vector. The retrieval loss is a squared hinge over triplets plus an
-attraction term; the classification loss applies the binary cross-entropy
-form to softmax outputs (a plain categorical variant is available).
+attraction term; the classification loss is the binary cross-entropy
+over every class slot of the softmax outputs, computed from the logits.
 All gradients are exact and feed the spectral-transform backward. The
 gradient of W stays as its two thin factors (``FactoredGrad``), so a
 training step builds no d_m x D array: W has d(d+1)/2 columns, 195,625
@@ -14,14 +14,13 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+from scipy.special import logsumexp
 
 from .errors import DataError
 from .rng import substream
 from . import storage
 
 MODEL_FORMAT_VERSION = 1
-PROB_CLAMP = 1e-12
-LOSS_VARIANTS = ("bce", "categorical")
 
 
 @dataclass
@@ -168,16 +167,17 @@ def softmax_rows(z):
     return e / np.sum(e, axis=1)[:, None]
 
 
-def classify_loss(f, labels, params, variant="bce"):
-    """Cross-entropy over softmax of C F + bias.
+def classify_loss(f, labels, params):
+    """Binary cross-entropy over softmax of z = C F + bias.
 
-    The default form charges every class slot: -[y log p + (1-y) log(1-p)]
-    summed over classes; ``categorical`` charges only the true class.
-    Probabilities are clamped to [1e-12, 1 - 1e-12] before the logs.
+    Every class slot is charged: -[y log p + (1-y) log(1-p)] summed over
+    classes, from the log-odds t_j = log(p_j / (1 - p_j)) = z_j - lse(z
+    without z_j): -log p_j = softplus(-t_j) and -log(1 - p_j) =
+    softplus(t_j). With no clamp, a saturated wrong answer keeps its
+    gradient dz = m p - y - sum_{j: y_j = 0} q_j, q_j the softmax over the
+    classes other than j.
     Returns (loss, dF, dC, dbias, probs); loss is summed over shapes.
     """
-    if variant not in LOSS_VARIANTS:
-        raise DataError(f"unknown loss variant {variant!r}")
     if params.C is None:
         raise DataError("classification requires classifier parameters")
     labels = np.asarray(labels)
@@ -186,19 +186,15 @@ def classify_loss(f, labels, params, variant="bce"):
         raise DataError(f"label outside 0..{m - 1}")
     z = f @ params.C.T + params.bias
     probs = softmax_rows(z)
-    p = np.clip(probs, PROB_CLAMP, 1.0 - PROB_CLAMP)
-    inside = (probs > PROB_CLAMP) & (probs < 1.0 - PROB_CLAMP)
-    y = np.zeros_like(p)
+    y = np.zeros_like(z)
     y[np.arange(len(labels)), labels] = 1.0
-
-    if variant == "bce":
-        loss = float(-np.sum(y * np.log(p) + (1.0 - y) * np.log1p(-p)))
-        dp = (-y / p + (1.0 - y) / (1.0 - p)) * inside
-    else:
-        loss = float(-np.sum(y * np.log(p)))
-        dp = (-y / p) * inside
-
-    dz = probs * (dp - np.sum(dp * probs, axis=1)[:, None])
+    # z_out[i, j] is row i of z with class j left out
+    z_out = np.repeat(z[:, None, :], m, axis=1)
+    z_out[:, np.arange(m), np.arange(m)] = -np.inf
+    t = z - logsumexp(z_out, axis=2)
+    loss = float(np.sum(np.logaddexp(0.0, (1.0 - 2.0 * y) * t)))
+    q = softmax_rows(z_out.reshape(-1, m)).reshape(z_out.shape)
+    dz = m * probs - y - np.einsum("ij,ijk->ik", 1.0 - y, q)
     dC = dz.T @ f
     dbias = dz.sum(axis=0)
     dF = dz @ params.C

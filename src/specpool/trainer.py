@@ -143,7 +143,8 @@ def triplet_count(labels):
 
 
 def build_triplets(labels, batch_size, seed, epoch, t_max=None):
-    """Seeded triplet batches for one epoch, as index-array triples.
+    """Seeded triplet batches for one epoch, as index-array triples cut
+    by ``split_batches``.
 
     When the number of valid triplets is at most ``t_max`` they are all
     enumerated and shuffled; otherwise ``t_max`` triplets are drawn
@@ -166,7 +167,15 @@ def build_triplets(labels, batch_size, seed, epoch, t_max=None):
         trips = trips[rng.permutation(len(trips))]
     else:
         trips = _sample_triplets(labels, anchor_ok, class_count, t_max, rng)
-    return [trips[i:i + batch_size] for i in range(0, len(trips), batch_size)]
+    return split_batches(trips, batch_size)
+
+
+def split_batches(items, batch_size):
+    """Consecutive batches of ``batch_size`` items. A shorter remainder
+    joins the last full batch, so no batch is shorter than
+    ``batch_size``; fewer items than that make one batch."""
+    ends = list(range(batch_size, len(items) - batch_size + 1, batch_size))
+    return [items[a:b] for a, b in zip([0] + ends, ends + [len(items)])]
 
 
 def _all_triplets(labels, anchor_ok):
@@ -284,7 +293,7 @@ def _batch_forward_backward(features, blocks, batch, config):
         x = features.rows(indices, gamma)
         f, cache = metric.embed_rows(x, head)
         loss, df, dc, dbias, _ = metric.classify_loss(
-            f, features.labels[indices], head, config.loss_variant)
+            f, features.labels[indices], head)
         grads["C"] = dc
         grads["bias"] = dbias
 
@@ -302,9 +311,8 @@ def _epoch_batches(features, config, epoch):
         return build_triplets(features.labels, config.batch_size,
                               config.seed, epoch, t_max=t_max)
     rng = substream(config.seed, "batches", epoch)
-    perm = rng.permutation(features.n_shapes)
-    return [perm[i:i + config.batch_size]
-            for i in range(0, len(perm), config.batch_size)]
+    return split_batches(rng.permutation(features.n_shapes),
+                         config.batch_size)
 
 
 def train(config, features, n_classes=None):
@@ -314,8 +322,8 @@ def train(config, features, n_classes=None):
     stops early after ``early_stop_patience`` epochs without a relative
     loss improvement of ``early_stop_tol``. All epoch randomness is derived
     from (seed, epoch). An epoch whose gradients are all exactly 0 while
-    its loss is above 0 (a saturated softmax, say) is logged as a warning:
-    the parameters cannot move.
+    its loss is above 0 (every embedding at one point, say) is logged as
+    a warning: the parameters cannot move.
     """
     if config.task == "classification" and n_classes is None:
         n_classes = int(features.labels.max()) + 1
@@ -456,7 +464,7 @@ def gradcheck(seed=11):
     # margin large enough that every hinge is active and far from its kink
     retrieval_cfg = RunConfig(task="retrieval", batch_size=64,
                               learning_rate=1.0, margin=5.0, eta=1.0,
-                              epochs=1, seed=seed, d_m=6, loss_variant="bce")
+                              epochs=1, seed=seed, d_m=6)
     all_trips = _all_triplets(
         features.labels,
         np.ones(features.n_shapes, dtype=bool))
@@ -465,8 +473,7 @@ def gradcheck(seed=11):
                              retrieval_cfg, "retr")
 
     classify_cfg = RunConfig(task="classification", batch_size=8,
-                             learning_rate=1.0, epochs=1, seed=seed, d_m=6,
-                             loss_variant="bce")
+                             learning_rate=1.0, epochs=1, seed=seed, d_m=6)
     blocks = init_params(classify_cfg, features,
                          n_classes=int(features.labels.max()) + 1)
     batch = np.arange(features.n_shapes)

@@ -183,6 +183,30 @@ def dense_sgd_step(params, grads, learning_rate):
     return params
 
 
+def clamped_classify_loss(f, labels, params):
+    """Binary cross-entropy over every class slot, from clamped
+    probabilities.
+
+    The probabilities are clipped to [1e-12, 1 - 1e-12] before the logs
+    and the gradient is taken through p, dp masked to 0 outside the
+    clamp. Wherever every p lies well inside the clamp it agrees with
+    ``metric.classify_loss``'s logits form; at saturation it gives 0
+    gradient. Returns (loss, dF, dC, dbias).
+    """
+    z = f @ params.C.T + params.bias
+    probs = np.exp(z - z.max(axis=1)[:, None])
+    probs /= probs.sum(axis=1)[:, None]
+    clamp = 1e-12
+    p = np.clip(probs, clamp, 1.0 - clamp)
+    inside = (probs > clamp) & (probs < 1.0 - clamp)
+    y = np.zeros_like(p)
+    y[np.arange(len(labels)), labels] = 1.0
+    loss = float(-np.sum(y * np.log(p) + (1.0 - y) * np.log1p(-p)))
+    dp = (-y / p + (1.0 - y) / (1.0 - p)) * inside
+    dz = probs * (dp - np.sum(dp * probs, axis=1)[:, None])
+    return loss, dz @ params.C, dz.T @ f, dz.sum(axis=0)
+
+
 def dense_lb_spectrum(lap, mass, k):
     """Lowest ``k`` eigenpairs of L phi = lambda diag(mass) phi, dense.
 

@@ -1,4 +1,5 @@
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -243,9 +244,9 @@ def trained(workspace):
 # values that parse as their field's type but lie outside its range; each
 # line replaces the base config's line for the same key
 OUT_OF_RANGE = ("transform = log_banana", "learning_rate = 0",
-                "batch_size = 0", "epochs = 0", "loss_variant = hinge",
-                "d_m = 0", "n_mix = 0", "k_eig = 0", "k_eig = 1",
-                "n_points = 0", "neighbor_cap = 0", "t_max_factor = 0",
+                "batch_size = 0", "epochs = 0", "d_m = 0", "n_mix = 0",
+                "k_eig = 0", "k_eig = 1", "n_points = 0",
+                "neighbor_cap = 0", "t_max_factor = 0",
                 "early_stop_patience = 0", "lsf_radius_frac = 0",
                 "log_eps = 0", "margin = -1", "eta = -0.5",
                 "early_stop_tol = -1e-4")
@@ -297,6 +298,22 @@ class TestConfigValues:
                    "--out", str(tmp_path / "out")])
         assert rc == 1
         assert "unknown key 'checkpoint_every'" in capsys.readouterr().err
+        assert not cache.exists() or not any(cache.iterdir())
+
+    def test_loss_variant_is_an_unknown_key(self, workspace, tmp_path,
+                                            capsys):
+        # the classification loss has one form, so nothing selects it
+        cfg = tmp_path / "old.cfg"
+        lines = workspace["cfg"].read_text() + "loss_variant = bce\n"
+        cfg.write_text(lines)
+        cache = tmp_path / "cache"
+        rc = main(["train", "--manifest", str(workspace["split"]),
+                   "--config", str(cfg), "--cache", str(cache),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 1
+        lineno = lines.count("\n")
+        assert f"old.cfg:{lineno}: unknown key 'loss_variant'" \
+            in capsys.readouterr().err
         assert not cache.exists() or not any(cache.iterdir())
 
 
@@ -516,3 +533,41 @@ class TestExportMpf:
                    "--out", str(tmp_path)])
         assert rc == 3
         assert "no learned spectral transform" in capsys.readouterr().err
+
+
+CLASSIFICATION_CFG = Path(__file__).resolve().parent.parent / "configs" \
+    / "classification_synth.cfg"
+
+
+@pytest.fixture(scope="module")
+def small_split(tmp_path_factory):
+    """4 classes x 8 synth meshes, half of each class for training: 16
+    training shapes, which batches of 15 do not divide."""
+    root = tmp_path_factory.mktemp("small_split")
+    assert main(["synth", "--seed", "7", "--instances", "8",
+                 "--out", str(root / "data")]) == 0
+    assert main(["make-splits", "--manifest",
+                 str(root / "data" / "manifest.tsv"),
+                 "--scheme", "fraction:0.5", "--seed", "0",
+                 "--out", str(root / "splits")]) == 0
+    return root
+
+
+@pytest.mark.slow
+class TestShippedClassificationConfig:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_converges_on_a_small_split(self, small_split, seed, capsys):
+        # a 1-shape remainder batch stepping as far as a full one, and a
+        # loss with no gradient at saturation, train seeds 1 and 2 to
+        # chance (accuracy 0.25)
+        common = ["--manifest", str(small_split / "splits" / "split.tsv"),
+                  "--config", str(CLASSIFICATION_CFG),
+                  "--cache", str(small_split / "cache"), "--seed", str(seed)]
+        out = small_split / f"seed{seed}"
+        assert main(["train", *common, "--out", str(out / "train")]) == 0
+        assert main(["eval", *common, "--model",
+                     str(out / "train" / "model.npz"),
+                     "--out", str(out / "eval")]) == 0
+        report = (out / "eval" / "report.tsv").read_text().split()
+        assert report[0] == "accuracy" and float(report[1]) >= 0.9, \
+            capsys.readouterr().out

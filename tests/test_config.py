@@ -29,7 +29,7 @@ class TestDefaults:
     def test_training_defaults(self):
         run = RunConfig()
         assert run.epochs == 200 and run.d_m == 100 and run.n_mix == 10
-        assert run.loss_variant == "bce" and run.transform == ""
+        assert run.transform == ""
 
     def test_training_validation(self):
         with pytest.raises(ConfigError, match="batch_size"):
@@ -38,8 +38,6 @@ class TestDefaults:
             RunConfig(epochs=0)
         with pytest.raises(ConfigError, match="learning_rate"):
             RunConfig(learning_rate=0.0)
-        with pytest.raises(ConfigError, match="loss variant"):
-            RunConfig(loss_variant="hinge")
         with pytest.raises(ConfigError, match="transform"):
             RunConfig(transform="log_banana")
         assert RunConfig(transform="half_power").transform == "half_power"

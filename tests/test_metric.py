@@ -10,7 +10,8 @@ from specpool.metric import (EmbeddingParams, classify_loss, embed_rows,
                              normalize_rows, save_model, softmax_rows,
                              triplet_loss_rows)
 
-from conftest import random_rotation
+from conftest import (assert_rel_close, clamped_classify_loss,
+                      random_rotation)
 
 
 class TestEmbeddingParams:
@@ -234,12 +235,6 @@ class TestClassifyLoss:
         assert abs(loss - 2.0 * math.log(2.0)) < 1e-12
         np.testing.assert_allclose(probs, [[0.5, 0.5]], rtol=1e-15)
 
-    def test_categorical_variant(self):
-        p = uniform_prob_params(2, 3)
-        loss, *_ = classify_loss(np.zeros((1, 3)), np.array([1]), p,
-                                 variant="categorical")
-        assert abs(loss - math.log(2.0)) < 1e-12
-
     def test_confident_correct_loss_vanishes(self):
         p = EmbeddingParams(np.eye(2), np.zeros((3, 2)),
                             np.array([100.0, 0.0, 0.0]))
@@ -262,25 +257,64 @@ class TestClassifyLoss:
         bias = rng.normal(size=3) * 0.1
         labels = np.array([0, 2, 1, 2])
 
-        def loss_at(fm, Cm, bm, variant):
-            p = EmbeddingParams(np.eye(3), Cm, bm)
-            return classify_loss(fm, labels, p, variant)[0]
+        def loss_at(fm, Cm, bm):
+            return classify_loss(fm, labels, EmbeddingParams(np.eye(3), Cm,
+                                                             bm))[0]
 
-        for variant in ("bce", "categorical"):
-            p = EmbeddingParams(np.eye(3), C, bias)
-            _, dF, dC, dbias, _ = classify_loss(f, labels, p, variant)
-            h = 1e-6
-            for arr, grad in ((f, dF), (C, dC), (bias, dbias)):
-                for idx in np.ndindex(arr.shape):
-                    orig = arr[idx]
-                    arr[idx] = orig + h
-                    up = loss_at(f, C, bias, variant)
-                    arr[idx] = orig - h
-                    dn = loss_at(f, C, bias, variant)
-                    arr[idx] = orig
-                    fd = (up - dn) / (2 * h)
-                    assert abs(grad[idx] - fd) <= 1e-6 * max(1.0, abs(fd))
+        _, dF, dC, dbias, _ = classify_loss(
+            f, labels, EmbeddingParams(np.eye(3), C, bias))
+        h = 1e-6
+        for arr, grad in ((f, dF), (C, dC), (bias, dbias)):
+            for idx in np.ndindex(arr.shape):
+                orig = arr[idx]
+                arr[idx] = orig + h
+                up = loss_at(f, C, bias)
+                arr[idx] = orig - h
+                dn = loss_at(f, C, bias)
+                arr[idx] = orig
+                fd = (up - dn) / (2 * h)
+                assert abs(grad[idx] - fd) <= 1e-6 * max(1.0, abs(fd))
 
+    def test_matches_clamped_formula_away_from_saturation(self):
+        # the log-odds form and the clamped probability form are the same
+        # loss wherever no probability is near 0 or 1. Each shape is held
+        # on its own: a batch's dC and dbias sum over shapes and can
+        # cancel, which scales any round-off gap up
+        rng = np.random.default_rng(12)
+        checked = 0
+        while checked < 200:
+            m, d = rng.integers(2, 6), 4
+            p = EmbeddingParams(np.eye(d), rng.normal(size=(m, d)),
+                                rng.normal(size=m))
+            f = rng.normal(size=(1, d))
+            labels = rng.integers(0, m, size=1)
+            loss, dF, dC, dbias, probs = classify_loss(f, labels, p)
+            if probs.min() < 1e-3 or probs.max() > 1.0 - 1e-3:
+                continue
+            ref_loss, *ref_grads = clamped_classify_loss(f, labels, p)
+            assert abs(loss - ref_loss) <= 1e-12 * ref_loss
+            for grad, ref in zip((dF, dC, dbias), ref_grads):
+                assert_rel_close(grad, ref, rtol=1e-12)
+            checked += 1
+
+    @pytest.mark.filterwarnings("error")
+    def test_saturated_wrong_answer_keeps_gradient(self):
+        # class 0 wins by 1000 but the label is 1: log p_1 and log(1 - p_0)
+        # are both -1000, and dz = 2p - y - q_0 = [2, -2]; the clamped
+        # form charges 2 (-log 1e-12) and gives no gradient at all
+        p = EmbeddingParams(np.eye(2), np.zeros((2, 2)),
+                            np.array([1000.0, 0.0]))
+        f, labels = np.ones((1, 2)), np.array([1])
+        loss, dF, dC, dbias, _ = classify_loss(f, labels, p)
+        assert abs(loss - 2000.0) <= 1e-9
+        np.testing.assert_allclose(dbias, [2.0, -2.0], rtol=1e-15)
+        np.testing.assert_allclose(dC, [[2.0, 2.0], [-2.0, -2.0]],
+                                   rtol=1e-15)
+        assert np.all(dF == 0.0)  # C = 0
+        assert all(not np.any(g)
+                   for g in clamped_classify_loss(f, labels, p)[1:])
+
+    @pytest.mark.filterwarnings("error")
     def test_extreme_logits_stay_finite(self):
         p = EmbeddingParams(np.eye(2), np.array([[1e4, 0.0], [0.0, 1e4]]),
                             np.zeros(2))
@@ -294,8 +328,6 @@ class TestClassifyLoss:
         p = uniform_prob_params(2, 3)
         with pytest.raises(DataError, match="label"):
             classify_loss(np.zeros((1, 3)), np.array([2]), p)
-        with pytest.raises(DataError, match="unknown loss"):
-            classify_loss(np.zeros((1, 3)), np.array([0]), p, variant="mse")
         with pytest.raises(DataError, match="classifier"):
             classify_loss(np.zeros((1, 3)),
                           np.array([0]), EmbeddingParams(np.eye(3)))

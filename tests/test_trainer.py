@@ -7,8 +7,8 @@ from specpool import metric, spdm, trainer
 from specpool.config import RunConfig
 from specpool.errors import DataError
 from specpool.trainer import (FeatureSet, build_triplets, gradcheck,
-                              init_params, sgd_step, toy_problem, train,
-                              triplet_count)
+                              init_params, sgd_step, split_batches,
+                              toy_problem, train, triplet_count)
 
 from conftest import assert_rel_close, dense_sgd_step, reference_q
 
@@ -44,7 +44,8 @@ class TestTriplets:
         batches = build_triplets(labels, batch_size=3, seed=0, epoch=0)
         trips = np.concatenate(batches)
         assert len(trips) == 8
-        assert [len(b) for b in batches] == [3, 3, 2]
+        # the remainder of 2 joins the last full batch
+        assert [len(b) for b in batches] == [3, 5]
         seen = {tuple(t) for t in trips.tolist()}
         assert len(seen) == 8
         for a, p, g in seen:
@@ -88,6 +89,26 @@ class TestTriplets:
             build_triplets(np.array([0, 0, 0]), 2, 0, 0)
         with pytest.raises(DataError, match="two members"):
             build_triplets(np.array([0, 1, 2]), 2, 0, 0)
+
+
+class TestSplitBatches:
+    @pytest.mark.parametrize("n, size, lengths", [
+        (8, 3, [3, 5]), (10, 5, [5, 5]), (14, 5, [5, 9]), (3, 5, [3]),
+        (16, 15, [16]), (64, 15, [15, 15, 15, 19]), (2, 1, [1, 1])])
+    def test_remainder_joins_last_full_batch(self, n, size, lengths):
+        batches = split_batches(np.arange(n), size)
+        assert [len(b) for b in batches] == lengths
+        assert np.array_equal(np.concatenate(batches), np.arange(n))
+
+    def test_classification_epochs_share_the_rule(self):
+        # a 1-shape remainder of 16 shapes at batch 15 would step as far
+        # as a full batch
+        feats = static_features(np.random.default_rng(0), 4, 4, 3)
+        for size, lengths in ((15, [16]), (5, [5, 5, 6])):
+            cfg = classification_config(batch_size=size)
+            batches = trainer._epoch_batches(feats, cfg, epoch=0)
+            assert [len(b) for b in batches] == lengths
+            assert sorted(np.concatenate(batches)) == list(range(16))
 
 
 class TestSGD:
@@ -276,33 +297,53 @@ class TestTrain:
 
 
 class TestDeadEpochWarning:
-    def saturated_init(self, monkeypatch):
-        # a head whose bias gives class 0 every probability: the clamped
-        # cross-entropy then has exactly 0 gradient at a loss above 0
+    def patch_init(self, monkeypatch, edit):
         real = trainer.init_params
 
         def init(config, features, n_classes=None):
             blocks = real(config, features, n_classes)
-            blocks["bias"][0] = 1e3
+            edit(blocks)
             return blocks
 
         monkeypatch.setattr(trainer, "init_params", init)
 
     def test_saturated_head_warns_and_keeps_outputs(self, monkeypatch,
                                                     caplog):
+        # W = 0 puts every embedding at the origin: each triplet charges
+        # margin^2, and the distance subgradient at coincident points is
+        # taken as 0, so every gradient is exactly 0 at a loss above 0
         feats = static_features(np.random.default_rng(9), 3, 2, 5)
-        cfg = classification_config(epochs=3, d_m=4, batch_size=4, seed=0)
-        self.saturated_init(monkeypatch)
-        init = trainer.init_params(cfg, feats, 2)
+        cfg = RunConfig(task="retrieval", epochs=3, d_m=4, batch_size=4,
+                        seed=0)
+        self.patch_init(monkeypatch, lambda b: b["W"].fill(0.0))
+        init = trainer.init_params(cfg, feats)
         with caplog.at_level(logging.WARNING, logger="specpool"):
             blocks, log, _ = train(cfg, feats)
         dead = [r.getMessage() for r in caplog.records
                 if "every gradient is exactly 0" in r.getMessage()]
         assert len(dead) == 3 and dead[0].startswith("epoch 0:")
-        assert all(loss > 0.0 for _, loss, _ in log)
+        assert all(loss == cfg.margin ** 2 for _, loss, _ in log)
         # the warning only reports: the parameters stay where they began
         for name in init:
             assert np.array_equal(blocks[name], init[name]), name
+
+    def test_saturated_classification_head_moves(self, monkeypatch,
+                                                 caplog):
+        # a bias that gives class 0 every probability saturates the
+        # softmax; the log-likelihood still has a gradient there
+        feats = static_features(np.random.default_rng(9), 3, 2, 5)
+        cfg = classification_config(epochs=3, d_m=4, batch_size=4, seed=0)
+
+        def saturate(blocks):
+            blocks["bias"][0] = 1e3
+
+        self.patch_init(monkeypatch, saturate)
+        with caplog.at_level(logging.WARNING, logger="specpool"):
+            blocks, log, _ = train(cfg, feats)
+        assert not any("every gradient is exactly 0" in r.getMessage()
+                       for r in caplog.records)
+        assert blocks["bias"][0] < 1e3 - 1.0
+        assert log[-1][1] < log[0][1]
 
     def test_live_run_does_not_warn(self, caplog):
         feats = static_features(np.random.default_rng(9), 3, 2, 5)
